@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"dissent/internal/crypto"
-	"dissent/internal/dcnet"
 )
 
 // Trusted-bootstrap entry points. Benchmark harnesses reproducing the
@@ -26,19 +25,11 @@ func (s *Server) InstallSchedule(now time.Time, slotKeys []crypto.Element) (*Out
 	if len(slotKeys) == 0 {
 		return nil, errors.New("core: empty slot key list")
 	}
-	s.slotKeys = slotKeys
-	cfg := dcnet.Config{
-		NumSlots:        len(slotKeys),
-		DefaultOpenLen:  s.def.Policy.DefaultOpenLen,
-		MaxSlotLen:      s.def.Policy.MaxSlotLen,
-		IdleCloseRounds: s.def.Policy.IdleCloseRounds,
-	}
-	sched, err := dcnet.NewSchedule(cfg)
+	sched, err := s.newSchedule(len(slotKeys))
 	if err != nil {
 		return nil, err
 	}
-	s.installRotation(sched)
-	sched.SetLag(s.depth - 1)
+	s.slotKeys = slotKeys
 	s.sched = sched
 	s.prevCount = len(slotKeys)
 	s.phase = phaseRunning
@@ -66,20 +57,12 @@ func (c *Client) InstallSchedule(now time.Time, numSlots, mySlot int, pseudonym 
 		}
 		pseudonym = kp
 	}
-	c.pseudonym = pseudonym
-	c.mySlot = mySlot
-	cfg := dcnet.Config{
-		NumSlots:        numSlots,
-		DefaultOpenLen:  c.def.Policy.DefaultOpenLen,
-		MaxSlotLen:      c.def.Policy.MaxSlotLen,
-		IdleCloseRounds: c.def.Policy.IdleCloseRounds,
-	}
-	sched, err := dcnet.NewSchedule(cfg)
+	sched, err := c.newSchedule(numSlots)
 	if err != nil {
 		return nil, err
 	}
-	c.installRotation(sched)
-	sched.SetLag(c.depth - 1)
+	c.pseudonym = pseudonym
+	c.mySlot = mySlot
 	c.sched = sched
 	c.ready = true
 	dig := sched.Digest()

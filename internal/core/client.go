@@ -67,7 +67,6 @@ type Client struct {
 
 	round   uint64 // next round to submit
 	nextOut uint64 // next round output to process
-	depth   int    // pipeline depth: rounds submitted before an output returns
 	// inflight holds the submitted-but-uncertified rounds, oldest first
 	// (at most depth); spare recycles retired records so the steady-state
 	// submit path stays allocation-free. parked holds a failed round's
@@ -106,7 +105,9 @@ type Client struct {
 	joinAddr        string // advertised transport address for the join request
 	awaitingRoster  bool   // epoch boundary: hold submission for MsgRosterUpdate
 	resubmitPending bool   // a failed round's vector awaits the roster update
-	pairSeedFn      func(clientIdx, serverIdx int) []byte
+	// held is a certified roster update that arrived before we consumed
+	// the outputs preceding its boundary (see onRosterUpdate).
+	held *heldRoster
 	// applyDigest is the schedule digest captured when the current
 	// roster version was applied (or at schedule install for the initial
 	// version); nil when no apply-point digest is known (mid-stream
@@ -124,37 +125,45 @@ type Client struct {
 
 // NewClient builds a client engine for the given identity key.
 func NewClient(def *group.Definition, kp *crypto.KeyPair, opts Options) (*Client, error) {
-	c := &Client{node: newNode(def, kp, opts)}
+	c := newClient(def, kp, opts)
 	c.idx = def.ClientIndex(c.id)
 	if c.idx < 0 {
 		return nil, errors.New("core: key is not a client in this group")
 	}
 	c.upstream = def.Servers[def.UpstreamServer(c.idx)].ID
-	c.serverSeeds = make([][]byte, len(def.Servers))
-	for j, srv := range def.Servers {
-		if opts.PairSeed != nil {
-			c.serverSeeds[j] = opts.PairSeed(c.idx, j)
-		} else {
-			seed, err := c.pairSeed(srv.PubKey)
-			if err != nil {
-				return nil, fmt.Errorf("core: server %d seed: %w", j, err)
-			}
-			c.serverSeeds[j] = seed
-		}
+	seeds, err := c.serverSeedsFor(def, c.idx)
+	if err != nil {
+		return nil, err
 	}
+	c.serverSeeds = seeds
+	return c, nil
+}
+
+// newClient holds the construction NewClient and NewJoinerClient share.
+func newClient(def *group.Definition, kp *crypto.KeyPair, opts Options) *Client {
+	c := &Client{node: newNode(def, kp, opts)}
 	c.pad = dcnet.NewPad(c.prng)
 	c.mySlot = -1
-	c.pairSeedFn = opts.PairSeed
-	c.depth = opts.PipelineDepth
-	if c.depth < 1 {
-		c.depth = 1
-	}
 	var retry RetryPolicy
 	if opts.Retry != nil {
 		retry = *opts.Retry
 	}
 	c.retry = retry.withDefaults(submitResendInterval)
-	return c, nil
+	return c
+}
+
+// serverSeedsFor derives our pairwise DC-net seed with every server of
+// def, as its client idx.
+func (c *Client) serverSeedsFor(def *group.Definition, idx int) ([][]byte, error) {
+	seeds := make([][]byte, len(def.Servers))
+	for j, srv := range def.Servers {
+		seed, err := c.pairSeed(idx, j, srv.PubKey)
+		if err != nil {
+			return nil, fmt.Errorf("core: server %d seed: %w", j, err)
+		}
+		seeds[j] = seed
+	}
+	return seeds, nil
 }
 
 // takeRound returns a reset round record, reusing a retired one.
@@ -174,6 +183,20 @@ func (c *Client) retireRound(cr *clientRound) {
 	c.bufs.put(cr.vec)
 	cr.vec, cr.sentSlot, cr.sub = nil, nil, nil
 	c.spare = append(c.spare, cr)
+}
+
+// requeueSent recovers the payload bytes round cr carried in our slot
+// and puts them back at the head of the outbox, so data riding a round
+// that can no longer deliver it goes out in a later one.
+func (c *Client) requeueSent(cr *clientRound) {
+	if cr.sentSlot == nil {
+		return
+	}
+	if pl, idle, err := dcnet.DecodeSlot(cr.sentSlot); err == nil && !idle && len(pl.Data) > 0 {
+		c.outbox = append(c.outbox, nil)
+		copy(c.outbox[1:], c.outbox)
+		c.outbox[0] = append([]byte(nil), pl.Data...)
+	}
 }
 
 // ID returns the client's node ID.
@@ -272,10 +295,8 @@ func (c *Client) dispatch(now time.Time, m *Message) (*Output, error) {
 		return c.onRebuttalRequest(now, m)
 	case MsgRosterUpdate:
 		return c.onRosterUpdate(now, m)
-	case MsgJoinWelcome:
-		return c.onJoinWelcome(now, m)
-	case MsgSnapshotSync:
-		return c.onSnapshotSync(now, m)
+	case MsgJoinWelcome, MsgSnapshotSync:
+		return c.onCheckpoint(now, m)
 	default:
 		return nil, fmt.Errorf("core: client got unexpected %s", m.Type)
 	}
@@ -293,10 +314,32 @@ const submitResendInterval = 2 * time.Second
 // Tick re-sends a joiner's pending join request; for a client stuck
 // waiting on a roster update past the sync interval it asks its
 // upstream server to replay missed certified updates (the catch-up for
-// a lost MsgRosterUpdate frame); and for a submitted round uncertified
-// past submitResendInterval it re-sends the submission (lost frame, or
-// a round certified while our upstream server was down).
+// a lost MsgRosterUpdate frame); for a submitted round uncertified past
+// submitResendInterval it re-sends the submission (lost frame, or a
+// round certified while our upstream server was down); and a held
+// roster update whose catch-up stalled is applied regardless.
 func (c *Client) Tick(now time.Time) (*Output, error) {
+	h := c.held
+	if h == nil {
+		return c.tick(now)
+	}
+	if !now.Before(h.until) {
+		// The catch-up behind a held roster update stalled: the missing
+		// outputs are no longer retained (or our upstream lost them in a
+		// restart). Apply the update anyway; its post-apply digest check
+		// then forces a certified snapshot re-sync.
+		c.held = nil
+		return c.applyRosterUpdate(now, h.u, h.digest)
+	}
+	out, err := c.tick(now)
+	if err != nil {
+		return nil, err
+	}
+	out.merge(&Output{Timer: h.until}) // embedders keep only the soonest wakeup
+	return out, nil
+}
+
+func (c *Client) tick(now time.Time) (*Output, error) {
 	if c.joining && !c.ready && c.pseudonym != nil {
 		return c.sendJoinRequest(now)
 	}
@@ -360,21 +403,13 @@ func (c *Client) onSchedule(now time.Time, m *Message) (*Output, error) {
 	if c.mySlot < 0 {
 		return nil, errors.New("core: our pseudonym key is missing from the schedule")
 	}
-	cfg := dcnet.Config{
-		NumSlots:        len(p.Keys),
-		DefaultOpenLen:  c.def.Policy.DefaultOpenLen,
-		MaxSlotLen:      c.def.Policy.MaxSlotLen,
-		IdleCloseRounds: c.def.Policy.IdleCloseRounds,
-	}
-	sched, err := dcnet.NewSchedule(cfg)
+	sched, err := c.newSchedule(len(p.Keys))
 	if err != nil {
 		return nil, err
 	}
 	if err := c.bindBeaconSession(certDigest); err != nil {
 		return nil, err
 	}
-	c.installRotation(sched)
-	sched.SetLag(c.depth - 1)
 	c.sched = sched
 	c.ready = true
 	c.certKeys, c.certSigs = p.Keys, p.Sigs
@@ -613,7 +648,23 @@ func (c *Client) emitRoundTrace(now time.Time, round uint64, participation int, 
 	c.trace(t)
 }
 
+// onOutput consumes one certified round output and, while a roster
+// update is held for missing outputs, continues the catch-up behind it.
 func (c *Client) onOutput(now time.Time, m *Message) (*Output, error) {
+	next, sent := c.nextOut, c.round
+	out, err := c.consumeOutput(now, m)
+	if err != nil || c.held == nil || c.nextOut == next {
+		return out, err
+	}
+	more, err := c.climbToHeld(now, sent)
+	if err != nil {
+		return nil, err
+	}
+	out.merge(more)
+	return out, nil
+}
+
+func (c *Client) consumeOutput(now time.Time, m *Message) (*Output, error) {
 	if !c.ready || m.Round != c.nextOut {
 		return &Output{}, nil
 	}
@@ -709,14 +760,7 @@ func (c *Client) onOutput(now time.Time, m *Message) (*Output, error) {
 		// (younger rounds composed assuming this stage existed), so
 		// recover the payload bytes and requeue them at the head of the
 		// outbox for the next composition instead.
-		if cr.sentSlot != nil {
-			if pl, idle, err := dcnet.DecodeSlot(cr.sentSlot); err == nil && !idle && len(pl.Data) > 0 {
-				data := append([]byte(nil), pl.Data...)
-				c.outbox = append(c.outbox, nil)
-				copy(c.outbox[1:], c.outbox)
-				c.outbox[0] = data
-			}
-		}
+		c.requeueSent(cr)
 		c.retireRound(cr)
 		if c.awaitingRoster {
 			return out, nil
@@ -756,12 +800,7 @@ func (c *Client) onOutput(now time.Time, m *Message) (*Output, error) {
 			// crashed with our ciphertext) — our payload did not reach the
 			// group intact. Requeue it at the head of the outbox instead
 			// of silently losing it.
-			if pl, idle, err := dcnet.DecodeSlot(cr.sentSlot); err == nil && !idle && len(pl.Data) > 0 {
-				data := append([]byte(nil), pl.Data...)
-				c.outbox = append(c.outbox, nil)
-				copy(c.outbox[1:], c.outbox)
-				c.outbox[0] = data
-			}
+			c.requeueSent(cr)
 		}
 	}
 

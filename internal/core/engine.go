@@ -175,7 +175,7 @@ func (o *Output) merge(other *Output) {
 // for certified roster updates keyed by version, "roster-digest" for
 // the post-apply schedule digests beside them, "blame" for completed
 // blame-session transcripts, and "snapshot" for the server's restart
-// snapshot.
+// checkpoint and its latest roster proposal.
 type StateStore interface {
 	Put(bucket, key string, value []byte) error
 	Get(bucket, key string) ([]byte, bool)
@@ -191,8 +191,12 @@ const (
 	bucketSnapshot     = "snapshot"
 )
 
-// snapshotKey names the single server restart snapshot record.
-const snapshotKey = "server"
+// snapshotKey names the single server restart checkpoint record, and
+// proposalKey the server's roster proposal for the pending version.
+const (
+	snapshotKey = "server"
+	proposalKey = "proposal"
+)
 
 // HasSnapshot reports whether st holds a server restart snapshot —
 // i.e. whether a server session can resume from it.
@@ -242,6 +246,11 @@ type node struct {
 	// derived from the node identity so peers decorrelate.
 	interdict *Interdict
 	retrySeed uint64
+
+	// depth is the pipeline depth (Options.PipelineDepth, at least 1);
+	// pairSeedFn is Options.PairSeed (nil derives seeds by DH).
+	depth      int
+	pairSeedFn func(clientIdx, serverIdx int) []byte
 }
 
 func newNode(def *group.Definition, kp *crypto.KeyPair, opts Options) node {
@@ -273,6 +282,8 @@ func newNode(def *group.Definition, kp *crypto.KeyPair, opts Options) node {
 	}
 	n.interdict = opts.Interdict
 	n.retrySeed = binary.BigEndian.Uint64(n.id[:8])
+	n.depth = max(opts.PipelineDepth, 1)
+	n.pairSeedFn = opts.PairSeed
 	if def.Policy.BeaconEpochRounds > 0 {
 		pubs := def.ServerPubKeys()
 		genesis := beacon.GenesisValue(n.grpID)
@@ -302,6 +313,30 @@ func (n *node) bindBeaconSession(certDigest [32]byte) error {
 		return nil
 	}
 	return n.beaconChain.Rebind(beacon.SessionGenesis(n.grpID, certDigest))
+}
+
+// scheduleConfig is the group policy's schedule configuration for
+// numSlots slots.
+func (n *node) scheduleConfig(numSlots int) dcnet.Config {
+	return dcnet.Config{
+		NumSlots:        numSlots,
+		DefaultOpenLen:  n.def.Policy.DefaultOpenLen,
+		MaxSlotLen:      n.def.Policy.MaxSlotLen,
+		IdleCloseRounds: n.def.Policy.IdleCloseRounds,
+	}
+}
+
+// newSchedule builds a fresh schedule replica wired for the beacon
+// rotation and this node's pipeline depth (restoreSchedule is the
+// counterpart for a checkpointed one).
+func (n *node) newSchedule(numSlots int) (*dcnet.Schedule, error) {
+	sched, err := dcnet.NewSchedule(n.scheduleConfig(numSlots))
+	if err != nil {
+		return nil, err
+	}
+	n.installRotation(sched)
+	sched.SetLag(n.depth - 1)
+	return sched, nil
 }
 
 // installRotation wires the beacon-driven epoch rotation into a fresh
@@ -441,8 +476,12 @@ func (n *node) verify(m *Message, wantServer bool) error {
 	return nil
 }
 
-// pairSeed derives the DC-net pairwise seed between this node and peer.
-func (n *node) pairSeed(peerPub crypto.Element) ([]byte, error) {
+// pairSeed derives the DC-net pairwise seed between client clientIdx
+// and server serverIdx, one of which is this node and the other peerPub.
+func (n *node) pairSeed(clientIdx, serverIdx int, peerPub crypto.Element) ([]byte, error) {
+	if n.pairSeedFn != nil {
+		return n.pairSeedFn(clientIdx, serverIdx), nil
+	}
 	shared, err := n.kp.SharedSecret(peerPub)
 	if err != nil {
 		return nil, err

@@ -73,14 +73,14 @@ const (
 	// MsgRosterUpdate: server → its clients; the fully certified roster
 	// update to apply before the next round.
 	MsgRosterUpdate
-	// MsgJoinWelcome: upstream server → newly admitted member; the
-	// certified update plus the session state snapshot (current roster,
-	// slot keys, schedule, beacon head) a mid-session joiner needs.
+	// MsgJoinWelcome: upstream server (or whichever server a retry
+	// reaches) → newly admitted member; a MemberCheckpoint anchored by
+	// the update that admitted it, which the joiner bootstraps from.
 	MsgJoinWelcome
 	// MsgSnapshotSync: upstream server → an established member whose
 	// replica diverged or fell behind the retained roster history; a
-	// JoinWelcome-shaped certified snapshot the member re-syncs its
-	// schedule replica from instead of wedging.
+	// MemberCheckpoint anchored by the latest certified update, which
+	// the member re-syncs its schedule replica from instead of wedging.
 	MsgSnapshotSync
 )
 

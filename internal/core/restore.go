@@ -7,16 +7,16 @@ import (
 
 	"dissent/internal/beacon"
 	"dissent/internal/crypto"
-	"dissent/internal/dcnet"
 	"dissent/internal/group"
 )
 
 // Durable server state (see ARCHITECTURE.md "Durability & restart").
-// The server persists a compact session snapshot into its StateStore at
-// every round retirement and roster apply; RestoreFromStore rebuilds a
-// freshly constructed engine from that snapshot plus the durable
-// certified roster-update log, so a killed server resumes certifying
-// rounds without operator intervention or a manual rejoin.
+// The server persists its ServerCheckpoint (checkpoint.go) into its
+// StateStore at every round retirement and roster apply;
+// RestoreFromStore rebuilds a freshly constructed engine from that
+// record plus the durable certified roster-update log, so a killed
+// server resumes certifying rounds without operator intervention or a
+// manual rejoin.
 //
 // What is NOT snapshotted, and why restart still converges:
 //   - In-flight (unretired) rounds: certification requires every
@@ -35,120 +35,6 @@ import (
 //     disrupted slot owner simply re-accuses on a post-restart round.
 //   - Pending join requests: joiners re-send on their retry timer.
 
-// ServerSnapshot is the durable image of a server's session state at a
-// round boundary — everything needed to resume that is not already
-// derivable from the group definition, the stored roster-update chain,
-// or the beacon chain's own store.
-type ServerSnapshot struct {
-	Version    uint64 // roster version the snapshot was taken at
-	Round      uint64 // first unretired round: resume point
-	PrevCount  uint32 // previous round's participation (α baseline)
-	DrainRound uint64 // latest pipeline drain point (delta-queue ramp)
-	RosterDue  byte   // boundary crossed; roster phase pending
-	CertKeys   [][]byte
-	CertSigs   [][]byte // certified schedule; empty under trusted bootstrap
-	SlotKeys   [][]byte // current slot pseudonym keys, slot order
-	SchedRound uint64   // schedule's internal round counter
-	Lens       []int32
-	Idle       []int32
-	Perm       []int32
-	PendingOps []int32 // queued, not-yet-applied round deltas
-	PendingNs  []int32
-	ExpelIdx   []int32  // excluded client indices…
-	ExpelAt    []uint64 // …and the round each was excluded at
-}
-
-// Encode serializes the snapshot.
-func (p *ServerSnapshot) Encode() []byte {
-	var e encBuf
-	e.U64(p.Version)
-	e.U64(p.Round)
-	e.U32(p.PrevCount)
-	e.U64(p.DrainRound)
-	e.U8(p.RosterDue)
-	e.ByteSlices(p.CertKeys)
-	e.ByteSlices(p.CertSigs)
-	e.ByteSlices(p.SlotKeys)
-	e.U64(p.SchedRound)
-	e.Int32s(p.Lens)
-	e.Int32s(p.Idle)
-	e.Int32s(p.Perm)
-	e.Int32s(p.PendingOps)
-	e.Int32s(p.PendingNs)
-	e.Int32s(p.ExpelIdx)
-	e.U32(uint32(len(p.ExpelAt)))
-	for _, r := range p.ExpelAt {
-		e.U64(r)
-	}
-	return e.B
-}
-
-// DecodeServerSnapshot parses a ServerSnapshot.
-func DecodeServerSnapshot(b []byte) (*ServerSnapshot, error) {
-	d := decBuf{B: b}
-	p := &ServerSnapshot{}
-	var err error
-	if p.Version, err = d.U64(); err != nil {
-		return nil, err
-	}
-	if p.Round, err = d.U64(); err != nil {
-		return nil, err
-	}
-	if p.PrevCount, err = d.U32(); err != nil {
-		return nil, err
-	}
-	if p.DrainRound, err = d.U64(); err != nil {
-		return nil, err
-	}
-	if p.RosterDue, err = d.U8(); err != nil {
-		return nil, err
-	}
-	if p.CertKeys, err = d.ByteSlices(); err != nil {
-		return nil, err
-	}
-	if p.CertSigs, err = d.ByteSlices(); err != nil {
-		return nil, err
-	}
-	if p.SlotKeys, err = d.ByteSlices(); err != nil {
-		return nil, err
-	}
-	if p.SchedRound, err = d.U64(); err != nil {
-		return nil, err
-	}
-	if p.Lens, err = d.Int32s(); err != nil {
-		return nil, err
-	}
-	if p.Idle, err = d.Int32s(); err != nil {
-		return nil, err
-	}
-	if p.Perm, err = d.Int32s(); err != nil {
-		return nil, err
-	}
-	if p.PendingOps, err = d.Int32s(); err != nil {
-		return nil, err
-	}
-	if p.PendingNs, err = d.Int32s(); err != nil {
-		return nil, err
-	}
-	if p.ExpelIdx, err = d.Int32s(); err != nil {
-		return nil, err
-	}
-	n, err := d.Count(1 << 20)
-	if err != nil {
-		return nil, err
-	}
-	p.ExpelAt = make([]uint64, n)
-	for i := range p.ExpelAt {
-		if p.ExpelAt[i], err = d.U64(); err != nil {
-			return nil, err
-		}
-	}
-	if err := d.Done(); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
 // persistSnapshot writes the current session state to the durable
 // store. Called at every round retirement and roster apply; a persist
 // failure is logged but never fails the round — durability degrades,
@@ -157,33 +43,27 @@ func (s *Server) persistSnapshot() {
 	if s.store == nil || s.sched == nil {
 		return
 	}
-	sn := &ServerSnapshot{
-		Version:    s.def.Version,
-		Round:      s.roundNum,
+	if err := s.store.Put(bucketSnapshot, snapshotKey, EncodeCheckpoint(s.serverRecord())); err != nil {
+		s.log.Error("session snapshot persist failed", "round", s.roundNum, "err", err)
+	}
+}
+
+// serverRecord captures the durable restart record at the current round.
+func (s *Server) serverRecord() *ServerCheckpoint {
+	sn := &ServerCheckpoint{
+		Checkpoint: s.capture(),
 		PrevCount:  uint32(s.prevCount),
-		DrainRound: s.drainRound,
 		CertKeys:   s.certKeys,
 		CertSigs:   s.certSigs,
-		SlotKeys:   s.encodedSlotKeys(),
 	}
 	if s.rosterDue {
 		sn.RosterDue = 1
 	}
-	schedRound, lens, idle, perm := s.sched.Snapshot()
-	sn.SchedRound = schedRound
-	sn.Lens = toInt32(lens)
-	sn.Idle = toInt32(idle)
-	sn.Perm = toInt32(perm)
-	ops, ns := s.sched.PendingSnapshot()
-	sn.PendingOps = toInt32(ops)
-	sn.PendingNs = toInt32(ns)
 	for _, ci := range sortedKeys(s.expelRound) {
 		sn.ExpelIdx = append(sn.ExpelIdx, int32(ci))
 		sn.ExpelAt = append(sn.ExpelAt, s.expelRound[ci])
 	}
-	if err := s.store.Put(bucketSnapshot, snapshotKey, sn.Encode()); err != nil {
-		s.log.Error("session snapshot persist failed", "round", s.roundNum, "err", err)
-	}
+	return sn
 }
 
 // RestoreFromStore rebuilds a freshly constructed server engine from
@@ -203,12 +83,19 @@ func (s *Server) RestoreFromStore(now time.Time) (out *Output, ok bool, err erro
 	if s.sched != nil || s.phase != phaseSetupCollect || s.roundNum != 0 {
 		return nil, false, errors.New("core: restore on an already-started engine")
 	}
-	sn, err := DecodeServerSnapshot(raw)
-	if err != nil {
+	var sn ServerCheckpoint
+	if err := DecodeCheckpoint(raw, &sn); err != nil {
 		return nil, false, fmt.Errorf("core: session snapshot: %w", err)
 	}
 	if sn.Version < s.def.Version {
 		return nil, false, fmt.Errorf("core: snapshot version %d below definition version %d", sn.Version, s.def.Version)
+	}
+	if len(sn.ExpelIdx) != len(sn.ExpelAt) {
+		return nil, false, errors.New("core: session snapshot shape mismatch")
+	}
+	sched, err := s.restoreSchedule(&sn.Checkpoint)
+	if err != nil {
+		return nil, false, fmt.Errorf("core: session snapshot: %w", err)
 	}
 
 	// Replay the certified roster-update chain from the durable log to
@@ -237,9 +124,6 @@ func (s *Server) RestoreFromStore(now time.Time) (out *Output, ok bool, err erro
 		s.lastRosterUpdate = u
 	}
 
-	if len(sn.SlotKeys) != len(sn.Lens) || len(sn.ExpelIdx) != len(sn.ExpelAt) {
-		return nil, false, errors.New("core: session snapshot shape mismatch")
-	}
 	slotKeys := make([]crypto.Element, len(sn.SlotKeys))
 	for i, kb := range sn.SlotKeys {
 		k, err := s.keyGrp.Decode(kb)
@@ -260,21 +144,6 @@ func (s *Server) RestoreFromStore(now time.Time) (out *Output, ok bool, err erro
 		s.beaconChain.RebindTrusted(beacon.SessionGenesis(s.grpID, scheduleCertDigest(s.grpID, sn.CertKeys, sn.CertSigs)))
 	}
 
-	cfg := dcnet.Config{
-		NumSlots:        len(sn.Lens),
-		DefaultOpenLen:  s.def.Policy.DefaultOpenLen,
-		MaxSlotLen:      s.def.Policy.MaxSlotLen,
-		IdleCloseRounds: s.def.Policy.IdleCloseRounds,
-	}
-	sched, err := dcnet.RestoreSchedule(cfg, sn.SchedRound, toInt(sn.Lens), toInt(sn.Idle), toInt(sn.Perm))
-	if err != nil {
-		return nil, false, fmt.Errorf("core: snapshot schedule: %w", err)
-	}
-	s.installRotation(sched)
-	sched.SetLag(s.depth - 1)
-	if err := sched.RestorePending(toInt(sn.PendingOps), toInt(sn.PendingNs)); err != nil {
-		return nil, false, fmt.Errorf("core: snapshot pipeline queue: %w", err)
-	}
 	s.sched = sched
 	if dig, have := s.rosterDigestFor(sn.Version); have {
 		s.rosterDigests[sn.Version] = dig
@@ -315,37 +184,45 @@ func (s *Server) RestoreFromStore(now time.Time) (out *Output, ok bool, err erro
 	if err := s.resumeRounds(now, out); err != nil {
 		return nil, false, err
 	}
+	// Our clients consume outputs in round order, and the crash may have
+	// swallowed the last ones we sent them — with our retained copies.
+	// Ask the peers for the final pipeline window's outputs (onInventory's
+	// retired-round reply) so retainPeerOutput can forward them and serve
+	// our clients' retired-round ladder again. An empty inventory does:
+	// every peer certified these rounds, so it already holds our real
+	// inventory for any it has not retired and drops this one.
+	for r := sn.Round - min(sn.Round, uint64(s.depth)+1); r < sn.Round; r++ {
+		if err := s.broadcastServers(MsgInventory, r, (&Inventory{}).Encode(), out); err != nil {
+			return nil, false, err
+		}
+	}
 	return out, true, nil
 }
 
-// replayRosterUpdate applies one stored certified update during
-// restore: the quiet subset of applyCertifiedRoster — definition swap,
-// seeds, attachments, and admit bookkeeping — without welcomes,
-// broadcasts, schedule growth (the snapshot carries the final
-// schedule), or events.
+// replayRosterUpdate applies the quiet part of one certified update —
+// definition swap, and for each new member its pairwise seed, its
+// attachment, and the version that admitted it — without slot keys,
+// welcomes, broadcasts, schedule growth, or events. Restore replays the
+// stored chain with it alone (the checkpoint carries the final slot
+// keys and schedule); applyCertifiedRoster runs it first.
 func (s *Server) replayRosterUpdate(u *group.RosterUpdate) error {
 	newDef, err := s.def.ApplyRosterUpdate(u)
 	if err != nil {
-		return fmt.Errorf("core: stored roster update %d rejected: %w", u.Version, err)
+		return fmt.Errorf("core: roster update %d rejected locally: %w", u.Version, err)
 	}
 	oldN := len(s.def.Clients)
 	s.def = newDef
 	for _, m := range u.Admit {
 		pub, err := s.keyGrp.Decode(m.PubKey)
 		if err != nil {
-			return fmt.Errorf("core: stored admitted key: %w", err)
+			return fmt.Errorf("core: admitted key: %w", err)
 		}
 		id := group.IDFromKey(s.keyGrp, pub)
 		ci := newDef.ClientIndex(id)
 		if ci >= oldN {
-			var seed []byte
-			if s.pairSeedFn != nil {
-				seed = s.pairSeedFn(ci, s.idx)
-			} else {
-				seed, err = s.pairSeed(pub)
-				if err != nil {
-					return fmt.Errorf("core: stored joiner %s seed: %w", id, err)
-				}
+			seed, err := s.pairSeed(ci, s.idx, pub)
+			if err != nil {
+				return fmt.Errorf("core: joiner %s seed: %w", id, err)
 			}
 			s.clientSeeds = append(s.clientSeeds, seed)
 			if newDef.UpstreamServer(ci) == s.idx {
@@ -409,6 +286,56 @@ func (s *Server) escalateAttempt(now time.Time, rs *roundState, p *Inventory, si
 	return out, nil
 }
 
+// retainPeerOutput keeps a peer's certified output for a round we
+// retired but hold no output for — one of the rounds just before a
+// restore point, requested by RestoreFromStore — and forwards it to our
+// clients, whose retired-round ladder it then serves too.
+func (s *Server) retainPeerOutput(m *Message) (*Output, error) {
+	if _, have := s.outMsgs[m.Round]; have || m.Round+uint64(s.def.Policy.RetainRounds) <= s.roundNum {
+		return &Output{}, nil
+	}
+	ro, err := DecodeRoundOutput(m.Body)
+	if err != nil {
+		return s.violation(m.Round, err), nil
+	}
+	var value []byte
+	if !ro.Failed && s.beaconChain != nil {
+		e := s.beaconChain.Get(m.Round)
+		if e == nil {
+			return &Output{}, nil // no beacon value to check the certificate against
+		}
+		value = e.Value[:]
+	}
+	if err := s.verifyOutputCerts(m.Round, ro, value); err != nil {
+		return s.violation(m.Round, err), nil
+	}
+	s.outMsgs[m.Round] = m.Body
+	out := &Output{}
+	if err := s.broadcastClients(MsgOutput, m.Round, m.Body, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// verifyOutputCerts checks that a round output carries every server's
+// certification signature over its cleartext and beacon value.
+func (s *Server) verifyOutputCerts(round uint64, ro *RoundOutput, beaconValue []byte) error {
+	if len(ro.Sigs) != len(s.def.Servers) {
+		return fmt.Errorf("round %d output carries %d certs", round, len(ro.Sigs))
+	}
+	signed := cleartextSignedBytes(s.grpID, round, int(ro.Count), ro.Cleartext, beaconValue)
+	for j, srv := range s.def.Servers {
+		sig, err := crypto.DecodeSignature(s.keyGrp, ro.Sigs[j])
+		if err != nil {
+			return err
+		}
+		if err := crypto.Verify(s.keyGrp, srv.PubKey, "dissent/cleartext", signed, sig); err != nil {
+			return fmt.Errorf("round %d cert %d: %w", round, j, err)
+		}
+	}
+	return nil
+}
+
 // onPeerOutput adopts a certified round output forwarded by a peer
 // (onInventory's retired-round reply): the peers certified this round
 // while we were down — our own pre-crash certify signature completed it
@@ -423,8 +350,11 @@ func (s *Server) onPeerOutput(now time.Time, m *Message) (*Output, error) {
 	if err := s.verify(m, true); err != nil {
 		return s.violation(m.Round, err), nil
 	}
-	if s.phase != phaseRunning || m.Round < s.roundNum {
-		return &Output{}, nil // already retired, or not in the round loop
+	if m.Round < s.roundNum {
+		return s.retainPeerOutput(m)
+	}
+	if s.phase != phaseRunning {
+		return &Output{}, nil // not in the round loop
 	}
 	if m.Round > s.roundNum {
 		return s.stashMsg(m), nil // adoption must run in round order
@@ -433,22 +363,12 @@ func (s *Server) onPeerOutput(now time.Time, m *Message) (*Output, error) {
 	if err != nil {
 		return s.violation(m.Round, err), nil
 	}
-	if len(ro.Sigs) != len(s.def.Servers) {
-		return s.violation(m.Round, fmt.Errorf("adopted round %d carries %d certs", m.Round, len(ro.Sigs))), nil
-	}
 	var entry *beacon.Entry
 	if !ro.Failed && s.beaconChain != nil {
 		entry = beacon.NewEntry(m.Round, s.beaconChain.Head(), ro.Beacon)
 	}
-	signed := cleartextSignedBytes(s.grpID, m.Round, int(ro.Count), ro.Cleartext, beaconValueBytes(entry))
-	for j, srv := range s.def.Servers {
-		sig, err := crypto.DecodeSignature(s.keyGrp, ro.Sigs[j])
-		if err != nil {
-			return s.violation(m.Round, err), nil
-		}
-		if err := crypto.Verify(s.keyGrp, srv.PubKey, "dissent/cleartext", signed, sig); err != nil {
-			return s.violation(m.Round, fmt.Errorf("adopted round %d cert %d: %w", m.Round, j, err)), nil
-		}
+	if err := s.verifyOutputCerts(m.Round, ro, beaconValueBytes(entry)); err != nil {
+		return s.violation(m.Round, err), nil
 	}
 
 	out := &Output{}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"path/filepath"
 	"strings"
@@ -35,44 +36,105 @@ func (f *fixture) step(n int64) {
 	f.h.Errors = nil
 }
 
-// TestServerSnapshotRoundTrip pins the snapshot codec.
-func TestServerSnapshotRoundTrip(t *testing.T) {
-	sn := &ServerSnapshot{
+// checkpointFixture is the common state both checkpoint embeddings
+// carry in the codec tests.
+func checkpointFixture() Checkpoint {
+	return Checkpoint{
 		Version:    7,
 		Round:      123,
-		PrevCount:  9,
-		DrainRound: 120,
-		RosterDue:  1,
-		CertKeys:   [][]byte{{1, 2}, {3}},
-		CertSigs:   [][]byte{{4}, {5, 6}},
 		SlotKeys:   [][]byte{{7}, {8}, {9}},
 		SchedRound: 122,
 		Lens:       []int32{64, 0, 64},
 		Idle:       []int32{0, 3, 1},
 		Perm:       []int32{2, 0, 1},
-		PendingOps: []int32{1},
-		PendingNs:  []int32{64},
-		ExpelIdx:   []int32{4},
-		ExpelAt:    []uint64{100},
-	}
-	got, err := DecodeServerSnapshot(sn.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", sn) {
-		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, sn)
+		DrainRound: 120,
+		PendingOps: []int32{1, 0, 0},
+		PendingNs:  []int32{64, 0, 0},
 	}
 }
 
-// TestServerRestartMidEpochResumes kills one of three servers mid-epoch
-// (mid-session, with rounds in flight), restarts it from its durable
-// store, and asserts the session resumes certifying rounds without any
-// manual rejoin: the restored server replays its roster chain, reopens
-// the wedged rounds at a recovery attempt, adopts any round its peers
-// certified without it, and the whole group reaches round and roster
-// convergence again — including payloads sent after the restart.
+// TestServerSnapshotRoundTrip pins the checkpoint codec through both of
+// its embeddings: the server's durable restart record and the member
+// body of MsgJoinWelcome/MsgSnapshotSync. It also pins the server
+// record's size — exactly the fields (and bytes) of the record it
+// replaced, so the per-round persist costs no more.
+func TestServerSnapshotRoundTrip(t *testing.T) {
+	sn := &ServerCheckpoint{
+		Checkpoint: checkpointFixture(),
+		PrevCount:  9,
+		RosterDue:  1,
+		CertKeys:   [][]byte{{1, 2}, {3}},
+		CertSigs:   [][]byte{{4}, {5, 6}},
+		ExpelIdx:   []int32{4},
+		ExpelAt:    []uint64{100},
+	}
+	sn.PendingOps, sn.PendingNs = []int32{1}, []int32{64}
+	enc := EncodeCheckpoint(sn)
+	if len(enc) != 170 {
+		t.Fatalf("server record is %d bytes, want 170", len(enc))
+	}
+	var gotSn ServerCheckpoint
+	if err := DecodeCheckpoint(enc, &gotSn); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprintf("%+v", &gotSn) != fmt.Sprintf("%+v", sn) {
+		t.Fatalf("server record round trip mismatch:\n got %+v\nwant %+v", &gotSn, sn)
+	}
+
+	mc := &MemberCheckpoint{
+		Checkpoint: checkpointFixture(),
+		Digest:     [32]byte{1, 2, 3},
+		Update:     []byte("certified update"),
+		RosterKeys: [][]byte{{10}, {11}},
+		Expelled:   []byte{0, 1},
+		BeaconHead: make([]byte, 32),
+	}
+	var gotMc MemberCheckpoint
+	if err := DecodeCheckpoint(EncodeCheckpoint(mc), &gotMc); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprintf("%+v", &gotMc) != fmt.Sprintf("%+v", mc) {
+		t.Fatalf("member checkpoint round trip mismatch:\n got %+v\nwant %+v", &gotMc, mc)
+	}
+
+	// Either shape rejects trailing bytes and every truncation.
+	for _, p := range []checkpointShape{sn, mc} {
+		b := EncodeCheckpoint(p)
+		if DecodeCheckpoint(append(b, 0), p) == nil {
+			t.Fatalf("%T: accepted a trailing byte", p)
+		}
+		for i := 0; i < len(b); i++ {
+			if DecodeCheckpoint(b[:i], p) == nil {
+				t.Fatalf("%T: accepted a truncation to %d of %d bytes", p, i, len(b))
+			}
+		}
+	}
+}
+
+// TestServerRestartMidEpochResumes kills one of three servers at
+// several points of an epoch (at its boundary, with the roster phase
+// due or running, and mid-epoch with rounds in flight), at pipeline
+// depths 1 and 2, restarts it from its durable store, and asserts the
+// session resumes certifying rounds without any manual rejoin: the
+// restored server replays its roster chain, reopens the wedged rounds
+// at a recovery attempt, adopts any round its peers certified without
+// it, and the whole group reaches round and roster convergence again —
+// through a non-empty roster update (an expulsion) at the first
+// boundary after the kill, with every server's post-apply schedule
+// digest agreeing, no client falling back to a snapshot re-sync, and
+// payloads sent after the restart delivered.
 func TestServerRestartMidEpochResumes(t *testing.T) {
 	const epoch = 6
+	for _, depth := range []int{1, 2} {
+		for _, off := range []uint64{0, 1, 3, 5} {
+			t.Run(fmt.Sprintf("depth%d/offset%d", depth, off), func(t *testing.T) {
+				testServerRestartAt(t, epoch, 2*epoch+off, depth)
+			})
+		}
+	}
+}
+
+func testServerRestartAt(t *testing.T, epoch, killAt uint64, depth int) {
 	dir := t.TempDir()
 	openKV := func(i int) *store.KV {
 		kv, err := store.Open(filepath.Join(dir, fmt.Sprintf("srv%d.kv", i)))
@@ -87,9 +149,10 @@ func TestServerRestartMidEpochResumes(t *testing.T) {
 	}
 	f := newFixture(t, 3, 4, fixtureOpts{
 		mutatePolicy: func(p *group.Policy) {
-			p.BeaconEpochRounds = epoch
+			p.BeaconEpochRounds = int(epoch)
 			p.Alpha = 0.25 // the victim's direct clients' submissions die with it
 		},
+		mutateOpts: func(o *Options) { o.PipelineDepth = depth },
 		serverOpts: func(idx int, o *Options) {
 			o.StateStore = kvs[idx]
 			bs, err := beacon.NewKVStore(kvs[idx], "beacon")
@@ -100,10 +163,18 @@ func TestServerRestartMidEpochResumes(t *testing.T) {
 		},
 	})
 
-	// Run past the first epoch boundary into the middle of the second
-	// epoch, then kill server 0 with rounds in flight.
+	// Queue an expulsion on a surviving server one epoch before the
+	// first boundary at or after the kill, so that boundary's update is
+	// non-empty. Then run to the kill point and kill server 0 with
+	// rounds in flight.
+	boundary := (killAt + epoch - 1) / epoch * epoch
 	f.h.StartAll()
-	f.stepUntilRound(epoch+2, 2_000_000)
+	f.stepUntilRound(boundary-epoch, 2_000_000)
+	expelled := f.clients[2].ID()
+	if err := f.servers[1].Expel(expelled); err != nil {
+		t.Fatal(err)
+	}
+	f.stepUntilRound(killAt-1, 2_000_000)
 	vid := f.def.Servers[0].ID
 	killRound := f.servers[0].Round()
 	f.h.SwapEngine(vid, blackholeEngine{})
@@ -127,8 +198,8 @@ func TestServerRestartMidEpochResumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := NewServer(f.def, f.kpByID[vid], f.msgKPByIdx[0],
-		Options{MessageGroup: crypto.ModP512Test(), StateStore: kv0, BeaconStore: bs0})
+	restored, err := NewServer(f.def, f.kpByID[vid], f.msgKPByIdx[0], Options{MessageGroup: crypto.ModP512Test(),
+		StateStore: kv0, BeaconStore: bs0, PipelineDepth: depth})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,15 +234,27 @@ func TestServerRestartMidEpochResumes(t *testing.T) {
 	if v == 0 {
 		t.Fatal("roster version never advanced")
 	}
-	for _, s := range f.servers[1:] {
+	dig := f.servers[0].rosterDigests[v]
+	for _, s := range f.servers {
 		if s.RosterVersion() != v {
 			t.Fatalf("roster versions diverged after restart: %d vs %d", v, s.RosterVersion())
+		}
+		if s.rosterDigests[v] != dig {
+			t.Fatalf("server %d post-apply schedule digest at version %d disagrees", s.Index(), v)
+		}
+		if ci := s.Definition().ClientIndex(expelled); !s.Definition().Clients[ci].Expelled {
+			t.Fatalf("server %d never applied the expulsion", s.Index())
+		}
+	}
+	for _, c := range f.clients {
+		if e := f.h.FirstEvent(c.ID(), EventReplicaResynced); e != nil {
+			t.Fatalf("client %d fell back to a snapshot re-sync at round %d", c.Index(), e.Round)
 		}
 	}
 
 	// Anonymous traffic still flows end to end after the restart.
 	f.clients[0].Send([]byte("after the restart"))
-	f.stepUntilRound(f.servers[0].Round()+2, 1_000_000)
+	f.stepUntilRound(f.servers[0].Round()+2*uint64(depth), 1_000_000)
 	found := false
 	for _, d := range f.h.Deliveries {
 		if string(d.Data) == "after the restart" {
@@ -317,6 +400,205 @@ func TestVictimClientsResumeAfterAdoption(t *testing.T) {
 		if !seen {
 			t.Errorf("payload %q never delivered within %d rounds of the restart; violations: %v",
 				msg, 5, f.violations())
+		}
+	}
+}
+
+// TestRestartRefillsVictimClientsLadder kills the victim server right
+// after it retires a round whose output never reached its clients —
+// the crash swallowed the broadcast, and the victim's retained copy
+// died with it. Those clients consume outputs strictly in round order,
+// so they sit at that round; the restored server must fetch the output
+// back from its peers and forward it, so they climb back to the live
+// round. Before it did, they waited for the next boundary's roster
+// update and re-synced from a checkpoint, skipping every round between.
+func TestRestartRefillsVictimClientsLadder(t *testing.T) {
+	const epoch, lost = 12, 15
+	dir := t.TempDir()
+	openKV := func(i int) *store.KV {
+		kv, err := store.Open(filepath.Join(dir, fmt.Sprintf("srv%d.kv", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return kv
+	}
+	kvs := make([]*store.KV, 3)
+	for i := range kvs {
+		kvs[i] = openKV(i)
+	}
+	f := newFixture(t, 3, 4, fixtureOpts{
+		mutatePolicy: func(p *group.Policy) {
+			p.BeaconEpochRounds = epoch
+			p.Alpha = 0.25
+		},
+		serverOpts: func(idx int, o *Options) {
+			o.StateStore = kvs[idx]
+			bs, err := beacon.NewKVStore(kvs[idx], "beacon")
+			if err != nil {
+				t.Fatal(err)
+			}
+			o.BeaconStore = bs
+		},
+	})
+	vid := f.def.Servers[0].ID
+	crashed := false
+	f.h.Outbound = func(from group.NodeID, m *Message) (time.Duration, bool) {
+		return 0, from == vid && m.Type == MsgOutput && m.Round == lost && !crashed
+	}
+
+	f.h.StartAll()
+	f.stepUntilRound(lost, 2_000_000)
+	f.h.SwapEngine(vid, blackholeEngine{})
+	crashed = true
+	if err := kvs[0].Close(); err != nil {
+		t.Fatal(err)
+	}
+	f.step(3000)
+
+	kv0 := openKV(0)
+	bs0, err := beacon.NewKVStore(kv0, "beacon")
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := NewServer(f.def, f.kpByID[vid], f.msgKPByIdx[0],
+		Options{MessageGroup: crypto.ModP512Test(), StateStore: kv0, BeaconStore: bs0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := f.h.Net.Now()
+	out, ok, err := restored.RestoreFromStore(now)
+	if err != nil || !ok {
+		t.Fatalf("restore: ok=%v err=%v", ok, err)
+	}
+	if restored.Round() <= lost {
+		t.Fatalf("restored at round %d, want past the lost output's round %d", restored.Round(), lost)
+	}
+	f.servers[0] = restored
+	f.h.SwapEngine(vid, restored)
+	f.h.ProcessExternal(vid, now, out, nil)
+
+	// Run through the next boundary: a client still stuck at the lost
+	// round would be re-synced there.
+	var victims []*Client
+	for i, c := range f.clients {
+		if f.def.UpstreamServer(i) == 0 {
+			victims = append(victims, c)
+			c.Send([]byte(fmt.Sprintf("from victim client %d", i)))
+		}
+	}
+	f.stepUntilRound(2*epoch+2, 4_000_000)
+	for _, c := range victims {
+		if e := f.h.FirstEvent(c.ID(), EventReplicaResynced); e != nil {
+			t.Fatalf("client %d re-synced at round %d instead of recovering the lost output; violations: %v",
+				c.Index(), e.Round, f.violations())
+		}
+		if cr, sr := c.Round(), f.servers[0].Round(); cr < sr {
+			t.Errorf("client %d still behind: client round %d, server round %d", c.Index(), cr, sr)
+		}
+	}
+	for _, c := range victims {
+		want := fmt.Sprintf("from victim client %d", c.Index())
+		found := false
+		for _, d := range f.h.Deliveries {
+			found = found || string(d.Data) == want
+		}
+		if !found {
+			t.Errorf("payload %q never delivered; violations: %v", want, f.violations())
+		}
+	}
+}
+
+// TestRestartMidRosterPhaseKeepsProposal kills a server inside the
+// roster phase: its proposal — an operator expulsion only it knew of —
+// reached the peers, its certificate did not. Its pending churn lived
+// in memory, so the restarted server must re-propose exactly what the
+// peers already hold; a fresh proposal would make it certify a
+// different update than they do, and the group could never apply the
+// version.
+func TestRestartMidRosterPhaseKeepsProposal(t *testing.T) {
+	const epoch = 6
+	dir := t.TempDir()
+	openKV := func(i int) *store.KV {
+		kv, err := store.Open(filepath.Join(dir, fmt.Sprintf("srv%d.kv", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return kv
+	}
+	kvs := make([]*store.KV, 3)
+	for i := range kvs {
+		kvs[i] = openKV(i)
+	}
+	f := newFixture(t, 3, 4, fixtureOpts{
+		mutatePolicy: func(p *group.Policy) {
+			p.BeaconEpochRounds = epoch
+			p.Alpha = 0.25
+		},
+		serverOpts: func(idx int, o *Options) {
+			o.StateStore = kvs[idx]
+			bs, err := beacon.NewKVStore(kvs[idx], "beacon")
+			if err != nil {
+				t.Fatal(err)
+			}
+			o.BeaconStore = bs
+		},
+	})
+	vid := f.def.Servers[0].ID
+	crashed := false
+	f.h.Outbound = func(from group.NodeID, m *Message) (time.Duration, bool) {
+		return 0, from == vid && m.Type == MsgRosterCert && !crashed
+	}
+
+	f.h.StartAll()
+	f.stepUntilRound(1, 1_000_000)
+	expelled := f.clients[2].ID()
+	if err := f.servers[0].Expel(expelled); err != nil {
+		t.Fatal(err)
+	}
+	// Step until the victim has signed the boundary's update (its
+	// certificate is swallowed), then kill it.
+	for i := 0; i < 2_000_000; i++ {
+		if r := f.servers[0].roster; r != nil && r.update != nil {
+			break
+		}
+		if !f.h.Net.Step() {
+			t.Fatal("network idle before the roster phase")
+		}
+	}
+	f.h.SwapEngine(vid, blackholeEngine{})
+	crashed = true
+	if err := kvs[0].Close(); err != nil {
+		t.Fatal(err)
+	}
+	f.step(3000)
+
+	kv0 := openKV(0)
+	bs0, err := beacon.NewKVStore(kv0, "beacon")
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := NewServer(f.def, f.kpByID[vid], f.msgKPByIdx[0],
+		Options{MessageGroup: crypto.ModP512Test(), StateStore: kv0, BeaconStore: bs0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := f.h.Net.Now()
+	out, ok, err := restored.RestoreFromStore(now)
+	if err != nil || !ok {
+		t.Fatalf("restore: ok=%v err=%v", ok, err)
+	}
+	f.servers[0] = restored
+	f.h.SwapEngine(vid, restored)
+	f.h.ProcessExternal(vid, now, out, nil)
+
+	f.stepUntilRound(2*epoch+1, 1_000_000)
+	for _, s := range f.servers {
+		if s.Round() <= 2*epoch+1 {
+			t.Fatalf("server %d stuck at round %d (roster version %d); violations: %v",
+				s.Index(), s.Round(), s.RosterVersion(), f.violations())
+		}
+		if ci := s.Definition().ClientIndex(expelled); !s.Definition().Clients[ci].Expelled {
+			t.Fatalf("server %d never applied the expulsion", s.Index())
 		}
 	}
 }
@@ -481,5 +763,84 @@ func TestClientResyncsFromSnapshotAfterTruncation(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("post-resync payload never delivered; violations: %v", f.violations())
+	}
+}
+
+// dropOutputsClient wraps a client engine and swallows the first copy
+// of each certified output for rounds in [from, to): the client falls
+// behind just before an epoch boundary, while retransmissions — the
+// retired-round ladder's replies — get through.
+type dropOutputsClient struct {
+	*Client
+	from, to uint64
+	dropped  map[uint64]bool
+}
+
+func (d *dropOutputsClient) Handle(now time.Time, m *Message) (*Output, error) {
+	if m.Type == MsgOutput && m.Round >= d.from && m.Round < d.to && !d.dropped[m.Round] {
+		d.dropped[m.Round] = true
+		return &Output{}, nil
+	}
+	return d.Client.Handle(now, m)
+}
+
+// TestClientHoldsRosterUpdateUntilCaughtUp drops the last one to three
+// outputs before an epoch boundary at one client, so the certified
+// roster update — a non-empty one, carrying an expulsion — reaches it
+// before it has consumed them. The client must hold the update, pull
+// the missing outputs up the retired-round ladder, and apply the update
+// at the boundary: converging without a snapshot re-sync, which would
+// skip the rounds it missed.
+func TestClientHoldsRosterUpdateUntilCaughtUp(t *testing.T) {
+	const epoch, boundary = 6, 12
+	for _, depth := range []int{1, 2} {
+		for missed := uint64(1); missed <= 3; missed++ {
+			t.Run(fmt.Sprintf("depth%d/missed%d", depth, missed), func(t *testing.T) {
+				lag := &dropOutputsClient{from: boundary - missed, to: boundary, dropped: map[uint64]bool{}}
+				f := newFixture(t, 3, 6, fixtureOpts{
+					mutatePolicy: func(p *group.Policy) {
+						p.BeaconEpochRounds = epoch
+						p.Alpha = 0.25
+					},
+					mutateOpts: func(o *Options) { o.PipelineDepth = depth },
+					wrapClient: func(idx int, c *Client) Engine {
+						if idx != 0 {
+							return nil
+						}
+						lag.Client = c
+						return lag
+					},
+				})
+				f.h.StartAll()
+				f.stepUntilRound(epoch, 2_000_000)
+				if err := f.servers[1].Expel(f.clients[5].ID()); err != nil {
+					t.Fatal(err)
+				}
+				f.stepUntilRound(2*boundary, 4_000_000)
+				if len(lag.dropped) != int(missed) {
+					t.Fatalf("dropped %d outputs, want %d", len(lag.dropped), missed)
+				}
+				if e := f.h.FirstEvent(lag.ID(), EventReplicaResynced); e != nil {
+					t.Fatalf("client re-synced at round %d instead of catching up; violations: %v",
+						e.Round, f.violations())
+				}
+				v := f.servers[0].RosterVersion()
+				if got := lag.RosterVersion(); got != v {
+					t.Fatalf("client at roster version %d, servers at %d", got, v)
+				}
+				if dig := f.servers[0].rosterDigests[v]; !bytes.Equal(lag.applyDigest, dig[:]) {
+					t.Fatalf("client's post-apply schedule digest at version %d differs from the servers'", v)
+				}
+
+				lag.Send([]byte("caught up"))
+				f.stepUntilRound(f.servers[0].Round()+epoch, 2_000_000)
+				for _, d := range f.h.Deliveries {
+					if string(d.Data) == "caught up" {
+						return
+					}
+				}
+				t.Fatalf("payload from the caught-up client never delivered; violations: %v", f.violations())
+			})
+		}
 	}
 }

@@ -224,130 +224,6 @@ func DecodeRosterUpdateMsg(b []byte) (*RosterUpdateMsg, error) {
 	return &RosterUpdateMsg{Update: u, SchedDigest: dig}, nil
 }
 
-// JoinWelcome hands a newly admitted member the replicated session
-// state it missed: the full current client roster (so its definition
-// replica catches up from genesis in one step), the slot key list, the
-// schedule snapshot, and the beacon chain head. It is signed by one
-// server — the upstream at admission time, or whichever server a
-// retry reaches when the original was lost — a trust-on-join
-// simplification relative to the fully certified RosterUpdate chain;
-// the joiner independently verifies the embedded update that admits
-// it.
-type JoinWelcome struct {
-	Version    uint64
-	Digest     [32]byte // roster digest at Version
-	Update     []byte   // encoded certified RosterUpdate admitting the joiner
-	RosterKeys [][]byte // all client identity keys, definition order
-	Expelled   []byte   // 0/1 per client, parallel to RosterKeys
-	SlotKeys   [][]byte // pseudonym slot keys, slot order
-	MySlot     int32
-	Round      uint64 // next engine round to submit
-	// SchedRound is the schedule's internal round counter, which lags
-	// Round by the number of hard-timeout rounds (failed rounds advance
-	// the engine round but never the schedule). The joiner must restore
-	// its schedule replica at this counter or its epoch rotations would
-	// fire at different real rounds than every established replica's.
-	SchedRound uint64
-	Lens       []int32
-	Idle       []int32
-	Perm       []int32
-	// PendingOps/PendingNs carry the donor schedule's queued, not-yet-
-	// applied round deltas (rows of len(Lens) entries, oldest first) and
-	// DrainRound its latest pipeline drain point. A welcome captured
-	// mid-pipeline needs both so the joiner's replica pops each delta at
-	// the same round as every established replica; at depth 1 and at
-	// epoch-boundary welcomes the queue is empty.
-	DrainRound uint64
-	PendingOps []int32
-	PendingNs  []int32
-	BeaconHead []byte // 32-byte chain head the joiner's replica resumes from
-}
-
-// Encode serializes the payload.
-func (p *JoinWelcome) Encode() []byte {
-	var e encBuf
-	e.U64(p.Version)
-	e.B = append(e.B, p.Digest[:]...)
-	e.Bytes(p.Update)
-	e.ByteSlices(p.RosterKeys)
-	e.Bytes(p.Expelled)
-	e.ByteSlices(p.SlotKeys)
-	e.U32(uint32(p.MySlot))
-	e.U64(p.Round)
-	e.U64(p.SchedRound)
-	e.Int32s(p.Lens)
-	e.Int32s(p.Idle)
-	e.Int32s(p.Perm)
-	e.U64(p.DrainRound)
-	e.Int32s(p.PendingOps)
-	e.Int32s(p.PendingNs)
-	e.Bytes(p.BeaconHead)
-	return e.B
-}
-
-// DecodeJoinWelcome parses a JoinWelcome payload.
-func DecodeJoinWelcome(b []byte) (*JoinWelcome, error) {
-	d := decBuf{B: b}
-	p := &JoinWelcome{}
-	var err error
-	if p.Version, err = d.U64(); err != nil {
-		return nil, err
-	}
-	if len(d.B) < 32 {
-		return nil, errTruncated
-	}
-	copy(p.Digest[:], d.B[:32])
-	d.B = d.B[32:]
-	if p.Update, err = d.Bytes(); err != nil {
-		return nil, err
-	}
-	if p.RosterKeys, err = d.ByteSlices(); err != nil {
-		return nil, err
-	}
-	if p.Expelled, err = d.Bytes(); err != nil {
-		return nil, err
-	}
-	if p.SlotKeys, err = d.ByteSlices(); err != nil {
-		return nil, err
-	}
-	slot, err := d.U32()
-	if err != nil {
-		return nil, err
-	}
-	p.MySlot = int32(slot)
-	if p.Round, err = d.U64(); err != nil {
-		return nil, err
-	}
-	if p.SchedRound, err = d.U64(); err != nil {
-		return nil, err
-	}
-	if p.Lens, err = d.Int32s(); err != nil {
-		return nil, err
-	}
-	if p.Idle, err = d.Int32s(); err != nil {
-		return nil, err
-	}
-	if p.Perm, err = d.Int32s(); err != nil {
-		return nil, err
-	}
-	if p.DrainRound, err = d.U64(); err != nil {
-		return nil, err
-	}
-	if p.PendingOps, err = d.Int32s(); err != nil {
-		return nil, err
-	}
-	if p.PendingNs, err = d.Int32s(); err != nil {
-		return nil, err
-	}
-	if p.BeaconHead, err = d.Bytes(); err != nil {
-		return nil, err
-	}
-	if err := d.Done(); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
 // --- Shared helpers ---------------------------------------------------
 
 // churnEnabled reports whether epoch membership churn runs: it is
@@ -569,7 +445,7 @@ func (s *Server) onJoinRequest(now time.Time, m *Message) (*Output, error) {
 		}
 		if len(p.PubKey) > 0 {
 			// Full join requests from a member already in the roster mean
-			// its JoinWelcome never arrived: it keeps retrying because it
+			// its welcome never arrived: it keeps retrying because it
 			// is not bootstrapped. Its upstream re-sends a fresh welcome.
 			return s.rewelcome(now, m.From)
 		}
@@ -577,39 +453,28 @@ func (s *Server) onJoinRequest(now time.Time, m *Message) (*Output, error) {
 			return s.violation(m.Round, fmt.Errorf("join request from the future roster version %d (current %d)",
 				p.Version, s.def.Version)), nil
 		}
+		out := &Output{}
+		if s.schedDigestDiverged(p.Version, p.SchedDigest) {
+			// The member's post-apply schedule digest for its version
+			// disagrees with ours: its replica silently diverged, and
+			// replaying the chain onto it would Grow a wrong layout and
+			// cement the divergence. Only a re-sync converges it.
+			if err := s.sendSnapshotSync(now, m.From, out); err != nil {
+				return nil, err
+			}
+			return out, nil
+		}
 		if p.Version < s.def.Version {
 			// Expected recovery, not a violation: the member lost roster
 			// updates; replay the chain so it catches up (its rejoin
-			// intent, if any, lands on a retry once current). But first
-			// validate the member's post-apply schedule digest for its
-			// version: replaying onto a silently diverged base would Grow
-			// a wrong layout and cement the divergence — a diverged
-			// member gets a certified snapshot re-sync instead.
-			out := &Output{}
-			if s.schedDigestDiverged(p.Version, p.SchedDigest) {
-				if err := s.sendSnapshotSync(now, m.From, out); err != nil {
-					return nil, err
-				}
-				return out, nil
-			}
+			// intent, if any, lands on a retry once current).
 			if err := s.resendRosterChain(now, m.From, p.Version, out); err != nil {
 				return nil, err
 			}
 			return out, nil
 		}
 		if !p.Rejoin {
-			// Sync probe from a current member: nothing to replay — unless
-			// its post-apply schedule digest disagrees with ours for this
-			// version, which means its replica diverged and only a
-			// certified snapshot re-sync converges it.
-			if s.schedDigestDiverged(p.Version, p.SchedDigest) {
-				out := &Output{}
-				if err := s.sendSnapshotSync(now, m.From, out); err != nil {
-					return nil, err
-				}
-				return out, nil
-			}
-			return &Output{}, nil
+			return out, nil // sync probe from a current member: nothing to replay
 		}
 		if !s.excluded[ci] && !s.def.Clients[ci].Expelled {
 			return &Output{}, nil // already active
@@ -651,16 +516,15 @@ func (s *Server) onJoinRequest(now time.Time, m *Message) (*Output, error) {
 	return &Output{}, nil
 }
 
-// rewelcome rebuilds and re-sends the session snapshot to an admitted
-// member whose original JoinWelcome was lost. The snapshot is current
-// (the member bootstraps at the in-flight round); the embedded update
-// is the one that admitted it, so the member can still verify its own
-// admission was certified. Unlike the initial welcome — sent by the
-// member's upstream at apply time — the recovery is served by
-// whichever server the retry reaches (the joiner keeps contacting its
-// original contact point, which may not be its assigned upstream);
-// every server holds the identical replicated state the snapshot
-// needs.
+// rewelcome re-sends a checkpoint to an admitted member whose original
+// welcome was lost. The checkpoint is current (the member bootstraps at
+// the in-flight round); its anchor is the update that admitted the
+// member, so the member can still verify its own admission was
+// certified. Unlike the initial welcome — sent by the member's upstream
+// at apply time — the recovery is served by whichever server the retry
+// reaches (the joiner keeps contacting its original contact point,
+// which may not be its assigned upstream); every server holds the
+// identical replicated state the checkpoint needs.
 func (s *Server) rewelcome(now time.Time, id group.NodeID) (*Output, error) {
 	// Rate-limit per member: legitimate retries pace themselves at
 	// joinRetryInterval, while a replayed join request would otherwise
@@ -672,6 +536,9 @@ func (s *Server) rewelcome(now time.Time, id group.NodeID) (*Output, error) {
 	if !ok {
 		return s.violation(s.roundNum, fmt.Errorf("full join request from established member %s", id)), nil
 	}
+	if s.boundaryPending() {
+		return &Output{}, nil // the joiner's next retry lands after the apply
+	}
 	u := s.lookupRosterUpdate(v)
 	if u == nil {
 		// Without a durable store the admitting update can age out of the
@@ -681,27 +548,9 @@ func (s *Server) rewelcome(now time.Time, id group.NodeID) (*Output, error) {
 		return &Output{Events: []Event{{Kind: EventProtocolViolation, Round: s.roundNum,
 			Detail: fmt.Sprintf("cannot re-welcome %s: admitting update %d evicted from the roster log", id, v)}}}, nil
 	}
-	// Recover the member's slot: its pseudonym key from the admitting
-	// update locates the slot appended for it.
-	slot := -1
-	for _, am := range u.Admit {
-		pub, err := s.keyGrp.Decode(am.PubKey)
-		if err != nil || group.IDFromKey(s.keyGrp, pub) != id {
-			continue
-		}
-		for i, sk := range s.slotKeys {
-			if bytes.Equal(s.keyGrp.Encode(sk), am.PseuKey) {
-				slot = i
-				break
-			}
-		}
-	}
-	if slot < 0 {
-		return s.violation(s.roundNum, fmt.Errorf("no slot found for admitted member %s", id)), nil
-	}
 	s.welcomeSent[id] = now
 	out := &Output{}
-	if err := s.sendWelcome(u, id, slot, out); err != nil {
+	if err := s.sendCheckpoint(MsgJoinWelcome, u, id, out); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -755,6 +604,29 @@ func (s *Server) buildProposal() *RosterPropose {
 	return p
 }
 
+// rosterProposal returns this server's proposal for the next version.
+// Once sent, a proposal is part of the update every server certifies,
+// yet the pending churn it was built from lives in memory: it is
+// persisted before it goes out, and a restarted server re-sends the
+// stored one instead of building a different proposal its peers would
+// never certify alongside theirs.
+func (s *Server) rosterProposal() *RosterPropose {
+	v := s.def.Version + 1
+	if s.store == nil {
+		return s.buildProposal()
+	}
+	if raw, ok := s.store.Get(bucketSnapshot, proposalKey); ok {
+		if p, err := DecodeRosterPropose(raw); err == nil && p.Version == v {
+			return p
+		}
+	}
+	p := s.buildProposal()
+	if err := s.store.Put(bucketSnapshot, proposalKey, p.Encode()); err != nil {
+		s.log.Error("roster proposal persist failed", "version", v, "err", err)
+	}
+	return p
+}
+
 // startRoster opens the roster phase for the upcoming epoch boundary.
 func (s *Server) startRoster(now time.Time) (*Output, error) {
 	s.rosterDue = false
@@ -765,7 +637,7 @@ func (s *Server) startRoster(now time.Time) (*Output, error) {
 		sigs:     make(map[int][]byte),
 		resendAt: now.Add(s.retry.delay(0, s.retrySeed^(s.def.Version+1))),
 	}
-	prop := s.buildProposal()
+	prop := s.rosterProposal()
 	out := &Output{Timer: s.roster.resendAt}
 	if err := s.broadcastServers(MsgRosterPropose, s.roundNum, prop.Encode(), out); err != nil {
 		return nil, err
@@ -1023,16 +895,16 @@ func (s *Server) maybeApplyRoster(now time.Time) (*Output, error) {
 }
 
 // applyCertifiedRoster applies one certified update to this server's
-// replica: definition swap, seeds and slot keys for new members,
-// exclusion bookkeeping, schedule growth, permutation reseed, welcomes
-// for joiners, and the client broadcast.
+// replica: the definition swap, seeds, and attachments replayRosterUpdate
+// shares with restore, then slot keys for new members, exclusion
+// bookkeeping, schedule growth, permutation reseed, welcomes for
+// joiners, and the client broadcast.
 func (s *Server) applyCertifiedRoster(now time.Time, u *group.RosterUpdate, out *Output) error {
-	newDef, err := s.def.ApplyRosterUpdate(u)
-	if err != nil {
-		return fmt.Errorf("core: certified roster update rejected locally: %w", err)
-	}
 	oldN := len(s.def.Clients)
-	s.def = newDef
+	if err := s.replayRosterUpdate(u); err != nil {
+		return err
+	}
+	newDef := s.def
 
 	for _, id := range u.Remove {
 		ci := newDef.ClientIndex(id)
@@ -1047,11 +919,7 @@ func (s *Server) applyCertifiedRoster(now time.Time, u *group.RosterUpdate, out 
 		out.Events = append(out.Events, Event{Kind: EventMemberExpelled, Round: s.roundNum, Culprit: id})
 	}
 
-	type welcomeTarget struct {
-		id   group.NodeID
-		slot int
-	}
-	var welcomes []welcomeTarget
+	var welcomes []group.NodeID
 	for _, m := range u.Admit {
 		pub, err := s.keyGrp.Decode(m.PubKey)
 		if err != nil {
@@ -1065,32 +933,18 @@ func (s *Server) applyCertifiedRoster(now time.Time, u *group.RosterUpdate, out 
 			delete(s.expelRound, ci)
 			delete(s.pendingRejoin, ci)
 		} else {
-			// New member: pairwise seed, attachment, slot key.
-			var seed []byte
-			if s.pairSeedFn != nil {
-				seed = s.pairSeedFn(ci, s.idx)
-			} else {
-				seed, err = s.pairSeed(pub)
-				if err != nil {
-					return fmt.Errorf("core: joiner %s seed: %w", id, err)
-				}
-			}
-			s.clientSeeds = append(s.clientSeeds, seed)
-			if newDef.UpstreamServer(ci) == s.idx {
-				s.myClients = append(s.myClients, ci)
-			}
+			// New member (seed and attachment done above): slot key.
 			pseu, err := s.keyGrp.Decode(m.PseuKey)
 			if err != nil {
 				return fmt.Errorf("core: joiner %s pseudonym key: %w", id, err)
 			}
 			s.slotKeys = append(s.slotKeys, pseu)
-			s.joinedAt[id] = u.Version
 			delete(s.pendingJoin, id)
 			if m.Addr != "" {
 				out.NewPeers = append(out.NewPeers, PeerInfo{ID: id, Addr: m.Addr})
 			}
 			if newDef.UpstreamServer(ci) == s.idx {
-				welcomes = append(welcomes, welcomeTarget{id: id, slot: len(s.slotKeys) - 1})
+				welcomes = append(welcomes, id)
 			}
 		}
 		out.Events = append(out.Events, Event{Kind: EventMemberJoined, Round: s.roundNum, Culprit: id})
@@ -1132,62 +986,45 @@ func (s *Server) applyCertifiedRoster(now time.Time, u *group.RosterUpdate, out 
 	if err := s.broadcastClients(MsgRosterUpdate, s.roundNum, body, out); err != nil {
 		return err
 	}
-	for _, w := range welcomes {
-		if err := s.sendWelcome(u, w.id, w.slot, out); err != nil {
+	for _, id := range welcomes {
+		if err := s.sendCheckpoint(MsgJoinWelcome, u, id, out); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// buildSnapshot assembles the JoinWelcome-shaped session snapshot: the
-// certified update u as the verifiable anchor, the full roster, slot
-// keys, schedule replica, pipeline queue, and beacon head. slot is the
-// recipient's slot when the server knows it (a joiner, whose admitting
-// update links key to slot) or -1 for an established member re-sync —
-// the server cannot link an established member to its anonymous slot,
-// so the member locates it by its own pseudonym key.
-func (s *Server) buildSnapshot(u *group.RosterUpdate, slot int) *JoinWelcome {
-	w := &JoinWelcome{
-		Version:  s.def.Version,
-		Digest:   s.def.RosterDigest(),
-		Update:   u.Encode(),
-		SlotKeys: s.encodedSlotKeys(),
-		MySlot:   int32(slot),
-		Round:    s.roundNum,
+// memberCheckpoint assembles the MsgJoinWelcome / MsgSnapshotSync body:
+// the certified update u as the verifiable anchor, the full roster, the
+// checkpoint, and the beacon head. It names no slot — the server cannot
+// link an established member to its anonymous slot — so every member
+// locates its own by its pseudonym key.
+func (s *Server) memberCheckpoint(u *group.RosterUpdate) []byte {
+	cp := &MemberCheckpoint{
+		Checkpoint: s.capture(),
+		Digest:     s.def.RosterDigest(),
+		Update:     u.Encode(),
 	}
 	for _, c := range s.def.Clients {
-		w.RosterKeys = append(w.RosterKeys, s.keyGrp.Encode(c.PubKey))
+		cp.RosterKeys = append(cp.RosterKeys, s.keyGrp.Encode(c.PubKey))
 		if c.Expelled {
-			w.Expelled = append(w.Expelled, 1)
+			cp.Expelled = append(cp.Expelled, 1)
 		} else {
-			w.Expelled = append(w.Expelled, 0)
+			cp.Expelled = append(cp.Expelled, 0)
 		}
 	}
-	schedRound, lens, idle, perm := s.sched.Snapshot()
-	w.SchedRound = schedRound
-	w.Lens = toInt32(lens)
-	w.Idle = toInt32(idle)
-	w.Perm = toInt32(perm)
-	// Under pipelining a re-welcome can capture the schedule mid-stream;
-	// the queued deltas and drain point complete the snapshot so the
-	// joiner pops each delta at the same round as every established
-	// replica. Boundary welcomes always export an empty queue: a welcome
-	// implies an admission, so Grow just flushed it.
-	w.DrainRound = s.drainRound
-	pendOps, pendNs := s.sched.PendingSnapshot()
-	w.PendingOps = toInt32(pendOps)
-	w.PendingNs = toInt32(pendNs)
 	if s.beaconChain != nil {
 		head := s.beaconChain.Head()
-		w.BeaconHead = append([]byte(nil), head[:]...)
+		cp.BeaconHead = head[:]
 	}
-	return w
+	return EncodeCheckpoint(cp)
 }
 
-// sendWelcome snapshots the session state for one admitted joiner.
-func (s *Server) sendWelcome(u *group.RosterUpdate, id group.NodeID, slot int, out *Output) error {
-	m, err := s.sign(MsgJoinWelcome, s.roundNum, s.buildSnapshot(u, slot).Encode())
+// sendCheckpoint sends one member its checkpoint anchored by u: a
+// MsgJoinWelcome (u admitted the joiner) or a MsgSnapshotSync (u is
+// the latest update).
+func (s *Server) sendCheckpoint(t MsgType, u *group.RosterUpdate, id group.NodeID, out *Output) error {
+	m, err := s.sign(t, s.roundNum, s.memberCheckpoint(u))
 	if err != nil {
 		return err
 	}
@@ -1195,11 +1032,10 @@ func (s *Server) sendWelcome(u *group.RosterUpdate, id group.NodeID, slot int, o
 	return nil
 }
 
-// sendSnapshotSync ships an established member the certified session
-// snapshot (the JoinWelcome shape under MsgSnapshotSync) so it can
+// sendSnapshotSync ships an established member its checkpoint so it can
 // replace a diverged or behind-retained-history schedule replica
 // instead of wedging. The anchor is the latest certified update: the
-// member verifies all m signatures over it and checks the snapshot's
+// member verifies all m signatures over it and checks the checkpoint's
 // roster digest against the update's before adopting anything.
 func (s *Server) sendSnapshotSync(now time.Time, id group.NodeID, out *Output) error {
 	u := s.lastRosterUpdate
@@ -1213,34 +1049,17 @@ func (s *Server) sendSnapshotSync(now time.Time, id group.NodeID, out *Output) e
 	}
 	// Rate-limit per member like rewelcome: re-sync probes pace at
 	// rosterSyncInterval, and a replayed probe must not amplify into a
-	// full session snapshot every time.
-	if last, ok := s.welcomeSent[id]; ok && now.Sub(last) < joinRetryInterval {
+	// full checkpoint every time. Past a boundary not yet applied, the
+	// member's next probe lands after the apply.
+	if last, ok := s.welcomeSent[id]; ok && now.Sub(last) < joinRetryInterval || s.boundaryPending() {
 		return nil
 	}
 	s.welcomeSent[id] = now
-	m, err := s.sign(MsgSnapshotSync, s.roundNum, s.buildSnapshot(u, -1).Encode())
-	if err != nil {
+	if err := s.sendCheckpoint(MsgSnapshotSync, u, id, out); err != nil {
 		return err
 	}
-	out.Send = append(out.Send, Envelope{To: id, Msg: m})
 	s.log.Info("snapshot re-sync sent", "member", id.String(), "version", s.def.Version, "round", s.roundNum)
 	return nil
-}
-
-func toInt32(v []int) []int32 {
-	out := make([]int32, len(v))
-	for i, x := range v {
-		out[i] = int32(x)
-	}
-	return out
-}
-
-func toInt(v []int32) []int {
-	out := make([]int, len(v))
-	for i, x := range v {
-		out[i] = int(x)
-	}
-	return out
 }
 
 // sortedIDKeys returns a NodeID-keyed map's keys in canonical order.
@@ -1254,6 +1073,12 @@ func sortedIDKeys[V any](m map[group.NodeID]V) []group.NodeID {
 	})
 	return ids
 }
+
+// boundaryPending reports whether an epoch boundary has been crossed
+// but its roster update not yet applied. A checkpoint sent to a member
+// then would name a first round the member must not submit before the
+// update, so welcomes and re-syncs wait for the apply.
+func (s *Server) boundaryPending() bool { return s.rosterDue || s.phase == phaseRoster }
 
 // --- Client: roster application, rejoin, joining ----------------------
 
@@ -1283,12 +1108,12 @@ func (c *Client) RequestRejoin(now time.Time) (*Output, error) {
 	return &Output{Send: []Envelope{{To: c.upstream, Msg: m}}}, nil
 }
 
-// onRosterUpdate applies a certified roster transition at the client.
+// onRosterUpdate verifies a certified roster transition and applies it,
+// or holds it while outputs before its boundary are still missing.
 func (c *Client) onRosterUpdate(now time.Time, m *Message) (*Output, error) {
 	if c.joining && !c.ready {
-		// A joiner's own admission arrives as a JoinWelcome carrying the
-		// same update plus the state snapshot; the broadcast copy is
-		// redundant for it.
+		// A joiner's own admission arrives as a welcome anchored by the
+		// same update; the broadcast copy is redundant for it.
 		return &Output{}, nil
 	}
 	if err := c.verify(m, true); err != nil {
@@ -1312,6 +1137,50 @@ func (c *Client) onRosterUpdate(now time.Time, m *Message) (*Output, error) {
 		return c.violation(fmt.Errorf("roster update version %d rejected (current %d, chain gap)",
 			u.Version, c.def.Version)), nil
 	}
+	if c.ready && len(c.inflight) > 0 {
+		// Servers broadcast the update only after retiring every round
+		// before its boundary, so a round still in flight here means we
+		// lost its output. Applying now would grow a schedule that has not
+		// reached the boundary, and the replica would diverge. Hold the
+		// update and pull the missing outputs up the retired-round ladder
+		// instead; onOutput applies it once we have drained.
+		c.held = &heldRoster{u: u, digest: p.SchedDigest}
+		return c.climbToHeld(now, c.round)
+	}
+	return c.applyRosterUpdate(now, u, p.SchedDigest)
+}
+
+// heldRoster is a certified roster update waiting for the outputs
+// before its boundary.
+type heldRoster struct {
+	u      *group.RosterUpdate
+	digest []byte    // the server's post-apply schedule digest
+	until  time.Time // deadline for the next missing output
+}
+
+// climbToHeld continues the catch-up behind a held roster update. Once
+// every output before its boundary is in, the update applies. Until
+// then the oldest in-flight submission is re-sent — unless it went out
+// at or after round sent, i.e. during this call — and the server answers
+// it with the retained certified output. A catch-up that stalls past
+// rosterSyncInterval falls back to Tick.
+func (c *Client) climbToHeld(now time.Time, sent uint64) (*Output, error) {
+	if len(c.inflight) == 0 {
+		h := c.held
+		c.held = nil
+		return c.applyRosterUpdate(now, h.u, h.digest)
+	}
+	c.held.until = now.Add(rosterSyncInterval)
+	out := &Output{Timer: c.held.until}
+	if cr := c.inflight[0]; cr.r == c.nextOut && cr.r < sent && cr.sub != nil {
+		out.Send = []Envelope{{To: c.upstream, Msg: cr.sub}}
+	}
+	return out, nil
+}
+
+// applyRosterUpdate applies a verified certified roster update that
+// extends our definition by one version.
+func (c *Client) applyRosterUpdate(now time.Time, u *group.RosterUpdate, schedDigest []byte) (*Output, error) {
 	newDef, err := c.def.ApplyRosterUpdate(u)
 	if err != nil {
 		return c.violation(err), nil
@@ -1359,7 +1228,7 @@ func (c *Client) onRosterUpdate(now time.Time, m *Message) (*Output, error) {
 		// hold and probe for a certified snapshot re-sync instead.
 		dig := c.sched.Digest()
 		c.applyDigest = dig[:]
-		diverged = len(p.SchedDigest) == 32 && !bytes.Equal(p.SchedDigest, dig[:])
+		diverged = len(schedDigest) == 32 && !bytes.Equal(schedDigest, dig[:])
 	}
 	out.Events = append(out.Events, Event{Kind: EventRosterChanged, Round: c.round,
 		Detail: fmt.Sprintf("version %d (%d admitted, %d removed)", newDef.Version, len(u.Admit), len(u.Remove))})
@@ -1430,158 +1299,93 @@ func (c *Client) resubmitAfterRoster(now time.Time, reshaped bool) (*Output, err
 		c.round++
 		return sub, nil
 	}
-	if cr.sentSlot != nil {
-		if payload, idle, err := dcnet.DecodeSlot(cr.sentSlot); err == nil && !idle && len(payload.Data) > 0 {
-			c.outbox = append([][]byte{append([]byte(nil), payload.Data...)}, c.outbox...)
-		}
-	}
+	c.requeueSent(cr)
 	c.retireRound(cr)
 	return c.submitRound(now)
 }
 
-// onJoinWelcome bootstraps a joining client from the admission
-// snapshot.
-func (c *Client) onJoinWelcome(now time.Time, m *Message) (*Output, error) {
-	if !c.joining || c.ready {
+// onCheckpoint installs a server-signed MemberCheckpoint: a joiner's
+// MsgJoinWelcome, or an established member's MsgSnapshotSync — the
+// forced re-sync after a post-apply digest mismatch or a catch-up past
+// the retained roster history. The two differ only in the precondition
+// (joining or ready), the joiner's check that the anchoring update
+// admits it, and the events emitted.
+func (c *Client) onCheckpoint(now time.Time, m *Message) (*Output, error) {
+	welcome := m.Type == MsgJoinWelcome
+	if welcome && !c.Joining() || !welcome && !c.ready {
 		return &Output{}, nil
 	}
 	if err := c.verify(m, true); err != nil {
 		return c.violation(err), nil
 	}
-	w, err := DecodeJoinWelcome(m.Body)
+	var cp MemberCheckpoint
+	if err := DecodeCheckpoint(m.Body, &cp); err != nil {
+		return c.violation(fmt.Errorf("%s: %w", m.Type, err)), nil
+	}
+	if cp.Version < c.def.Version {
+		return &Output{}, nil // stale, racing updates we already applied
+	}
+	def, anchor, slot, sched, err := c.checkCheckpoint(&cp, welcome)
 	if err != nil {
-		return c.violation(err), nil
+		return c.violation(fmt.Errorf("%s: %w", m.Type, err)), nil
 	}
-	if len(w.RosterKeys) != len(w.Expelled) {
-		return c.violation(errors.New("join welcome roster shape mismatch")), nil
-	}
-	expelled := make([]bool, len(w.Expelled))
-	for i, b := range w.Expelled {
-		expelled[i] = b != 0
-	}
-	newDef, err := group.RebuildDefinition(c.def, w.Version, w.Digest, w.RosterKeys, expelled)
+	idx := def.ClientIndex(c.id)
+	seeds, err := c.serverSeedsFor(def, idx)
 	if err != nil {
-		return c.violation(err), nil
-	}
-	// The welcome snapshot is trusted-on-join from the upstream server,
-	// but the admitting transition itself is independently verifiable:
-	// the embedded update must be certified by every server and must
-	// admit us.
-	u, err := group.DecodeRosterUpdate(w.Update)
-	if err != nil {
-		return c.violation(err), nil
-	}
-	// A re-sent welcome (original lost) snapshots a later version than
-	// the admitting update it embeds; the update's version can only lag.
-	if u.Version > w.Version {
-		return c.violation(errors.New("join welcome update version ahead of its snapshot")), nil
-	}
-	if err := c.def.VerifyRosterUpdateSigs(u); err != nil {
-		return c.violation(err), nil
-	}
-	// When the welcome snapshots the admitting version itself, its
-	// digest is fully derivable from the certified update — never trust
-	// the welcome's copy there, or a wrong digest would wedge us out of
-	// every subsequent update's chain check. For later-version re-sends
-	// the digest is trust-on-join like the rest of the snapshot.
-	if u.Version == w.Version && u.Digest(c.grpID) != w.Digest {
-		return c.violation(errors.New("join welcome digest does not match the certified update")), nil
-	}
-	idx := newDef.ClientIndex(c.id)
-	if idx < 0 {
-		return c.violation(errors.New("join welcome roster does not include us")), nil
-	}
-	admitted := false
-	myKey := c.keyGrp.Encode(c.kp.Public)
-	for _, am := range u.Admit {
-		if bytes.Equal(am.PubKey, myKey) {
-			admitted = true
-		}
-	}
-	if !admitted {
-		return c.violation(errors.New("join welcome update does not admit us")), nil
-	}
-	slot := int(w.MySlot)
-	if slot < 0 || slot >= len(w.SlotKeys) ||
-		!bytes.Equal(w.SlotKeys[slot], c.keyGrp.Encode(c.pseudonym.Public)) {
-		return c.violation(errors.New("join welcome slot does not carry our pseudonym key")), nil
-	}
-
-	cfg := dcnet.Config{
-		NumSlots:        len(w.Lens),
-		DefaultOpenLen:  c.def.Policy.DefaultOpenLen,
-		MaxSlotLen:      c.def.Policy.MaxSlotLen,
-		IdleCloseRounds: c.def.Policy.IdleCloseRounds,
-	}
-	if w.SchedRound > w.Round {
-		return c.violation(errors.New("join welcome schedule round ahead of engine round")), nil
-	}
-	sched, err := dcnet.RestoreSchedule(cfg, w.SchedRound, toInt(w.Lens), toInt(w.Idle), toInt(w.Perm))
-	if err != nil {
-		return c.violation(err), nil
-	}
-	if w.DrainRound > w.Round {
-		return c.violation(errors.New("join welcome drain round ahead of engine round")), nil
-	}
-
-	c.def = newDef
-	c.idx = idx
-	c.upstream = newDef.Servers[newDef.UpstreamServer(idx)].ID
-	c.serverSeeds = make([][]byte, len(newDef.Servers))
-	for j, srv := range newDef.Servers {
-		if c.pairSeedFn != nil {
-			c.serverSeeds[j] = c.pairSeedFn(idx, j)
-		} else {
-			seed, err := c.pairSeed(srv.PubKey)
-			if err != nil {
-				return nil, fmt.Errorf("core: server %d seed: %w", j, err)
-			}
-			c.serverSeeds[j] = seed
-		}
+		return nil, err
 	}
 	if c.beaconChain != nil {
-		if len(w.BeaconHead) != len(beacon.Value{}) {
-			return c.violation(errors.New("join welcome beacon head malformed")), nil
-		}
+		// Resume the chain from the checkpoint's head, trusted like the
+		// rest of it (round outputs re-verify every entry appended from
+		// here). A joiner's chain is empty; a re-synced member's may have
+		// diverged with its schedule and is discarded.
 		var head beacon.Value
-		copy(head[:], w.BeaconHead)
-		if err := c.beaconChain.Rebind(head); err != nil {
+		copy(head[:], cp.BeaconHead)
+		if err := c.beaconChain.ResetTrusted(head); err != nil {
 			return nil, err
 		}
 	}
-	c.installRotation(sched)
-	sched.SetLag(c.depth - 1)
-	// Restore after SetLag (which flushes the queue): a re-sent welcome
-	// can capture the donor mid-pipeline, and the restored queue plus the
-	// donor's drain point make our replica pop each delta at the same
-	// round as every established one.
-	if err := sched.RestorePending(toInt(w.PendingOps), toInt(w.PendingNs)); err != nil {
-		return c.violation(err), nil
+	// In-flight and parked rounds were composed under the replaced
+	// layout and can never match a certified output now: requeue their
+	// payload bytes (newest first, so they land oldest-first) and drop
+	// them.
+	for i := len(c.inflight) - 1; i >= 0; i-- {
+		c.requeueSent(c.inflight[i])
+		c.retireRound(c.inflight[i])
 	}
-	c.sched = sched
-	c.mySlot = slot
-	c.round = w.Round
-	c.nextOut = w.Round
-	c.rosterDone = w.Round
-	c.drain = w.DrainRound
-	c.ready = true
-	c.expelled = false
-	if u.Version == w.Version {
-		// Apply-time welcome: the donor snapshotted its schedule at the
-		// admitting version's apply point, so the restored digest IS that
-		// version's post-apply digest. A later re-sent welcome snapshots
-		// mid-stream and leaves no apply-point digest (probes omit it).
-		dig := sched.Digest()
-		c.applyDigest = dig[:]
-	} else {
-		c.applyDigest = nil
+	c.inflight = c.inflight[:0]
+	if c.parked != nil {
+		c.requeueSent(c.parked)
+		c.retireRound(c.parked)
+		c.parked = nil
 	}
 
-	out := &Output{Events: []Event{
-		{Kind: EventScheduleReady, Round: w.Round, Detail: fmt.Sprintf("slot %d of %d (joined mid-session)", slot, len(w.Lens))},
-		{Kind: EventMemberJoined, Round: w.Round, Culprit: c.id},
-		{Kind: EventRosterChanged, Round: w.Round, Detail: fmt.Sprintf("version %d (joined)", w.Version)},
-	}}
+	c.def, c.idx, c.serverSeeds = def, idx, seeds
+	c.upstream = def.Servers[def.UpstreamServer(idx)].ID
+	c.sched, c.mySlot = sched, slot
+	c.round, c.nextOut, c.rosterDone, c.drain = cp.Round, cp.Round, cp.Round, cp.DrainRound
+	c.ready = true
+	c.expelled = def.Clients[idx].Expelled
+	c.awaitingRoster, c.resubmitPending, c.reqPending = false, false, false
+	c.held, c.nextStreams = nil, nil
+	// A checkpoint taken where its anchoring update applied carries that
+	// version's post-apply digest; a mid-epoch one leaves none until the
+	// next boundary (catch-up probes then omit it).
+	c.applyDigest = nil
+	if anchor == cp.Version && c.epochBoundary(cp.Round) {
+		dig := sched.Digest()
+		c.applyDigest = dig[:]
+	}
+
+	out := &Output{Events: []Event{{Kind: EventReplicaResynced, Round: cp.Round,
+		Detail: fmt.Sprintf("version %d, slot %d of %d", cp.Version, slot, len(cp.Lens))}}}
+	if welcome {
+		out.Events = []Event{
+			{Kind: EventScheduleReady, Round: cp.Round, Detail: fmt.Sprintf("slot %d of %d (joined mid-session)", slot, len(cp.Lens))},
+			{Kind: EventMemberJoined, Round: cp.Round, Culprit: c.id},
+			{Kind: EventRosterChanged, Round: cp.Round, Detail: fmt.Sprintf("version %d (joined)", cp.Version)},
+		}
+	}
 	sub, err := c.submitRound(now)
 	if err != nil {
 		return nil, err
@@ -1590,169 +1394,86 @@ func (c *Client) onJoinWelcome(now time.Time, m *Message) (*Output, error) {
 	return out, nil
 }
 
-// onSnapshotSync replaces an established client's schedule replica
-// with a certified snapshot from a server — the forced re-sync after a
-// post-apply digest mismatch or a catch-up past the retained roster
-// history. Verification mirrors onJoinWelcome: the embedded update
-// carries every server's signature and (at equal versions) fully
-// determines the snapshot's roster digest; only current membership is
-// required, not admission by the update, and the anonymous slot is
-// located by our own pseudonym key because the server cannot link an
-// established member to its slot.
-func (c *Client) onSnapshotSync(now time.Time, m *Message) (*Output, error) {
-	if !c.ready || c.joining || c.pseudonym == nil {
-		return &Output{}, nil
+// checkCheckpoint verifies a member checkpoint against our replica and
+// returns the rebuilt definition, the anchoring update's version, our
+// slot, and the restored schedule. The client itself is not touched.
+// The checkpoint is trusted from the one server that signed it, but its
+// anchor is not: the update must carry every server's signature, at
+// the checkpoint's version it must yield the same roster digest, and a
+// joiner's must admit it. Our slot is the one carrying our pseudonym
+// key.
+func (c *Client) checkCheckpoint(cp *MemberCheckpoint, welcome bool) (*group.Definition, uint64, int, *dcnet.Schedule, error) {
+	fail := func(msg string) (*group.Definition, uint64, int, *dcnet.Schedule, error) {
+		return nil, 0, 0, nil, errors.New(msg)
 	}
-	if err := c.verify(m, true); err != nil {
-		return c.violation(err), nil
+	if len(cp.RosterKeys) != len(cp.Expelled) {
+		return fail("roster shape mismatch")
 	}
-	w, err := DecodeJoinWelcome(m.Body)
-	if err != nil {
-		return c.violation(err), nil
-	}
-	if w.Version < c.def.Version {
-		return &Output{}, nil // stale snapshot racing updates we already applied
-	}
-	if len(w.RosterKeys) != len(w.Expelled) {
-		return c.violation(errors.New("snapshot sync roster shape mismatch")), nil
-	}
-	expelled := make([]bool, len(w.Expelled))
-	for i, b := range w.Expelled {
+	expelled := make([]bool, len(cp.Expelled))
+	for i, b := range cp.Expelled {
 		expelled[i] = b != 0
 	}
-	newDef, err := group.RebuildDefinition(c.def, w.Version, w.Digest, w.RosterKeys, expelled)
+	def, err := group.RebuildDefinition(c.def, cp.Version, cp.Digest, cp.RosterKeys, expelled)
 	if err != nil {
-		return c.violation(err), nil
+		return nil, 0, 0, nil, err
 	}
-	u, err := group.DecodeRosterUpdate(w.Update)
+	u, err := group.DecodeRosterUpdate(cp.Update)
 	if err != nil {
-		return c.violation(err), nil
+		return nil, 0, 0, nil, err
 	}
-	if u.Version > w.Version {
-		return c.violation(errors.New("snapshot sync update version ahead of its snapshot")), nil
+	// A re-sent welcome (original lost) checkpoints a later version than
+	// the admitting update it embeds; the anchor can only lag.
+	if u.Version > cp.Version {
+		return fail("anchoring update version ahead of the checkpoint")
 	}
 	if err := c.def.VerifyRosterUpdateSigs(u); err != nil {
-		return c.violation(err), nil
+		return nil, 0, 0, nil, err
 	}
-	if u.Version == w.Version && u.Digest(c.grpID) != w.Digest {
-		return c.violation(errors.New("snapshot sync digest does not match the certified update")), nil
+	// At the anchor's own version the digest is fully derivable from the
+	// certified update — never trust the checkpoint's copy there, or a
+	// wrong digest would wedge us out of every later update's chain
+	// check. For later versions it is trusted like the rest.
+	if u.Version == cp.Version && u.Digest(c.grpID) != cp.Digest {
+		return fail("roster digest does not match the certified update")
 	}
-	idx := newDef.ClientIndex(c.id)
-	if idx < 0 {
-		return c.violation(errors.New("snapshot sync roster does not include us")), nil
+	if def.ClientIndex(c.id) < 0 {
+		return fail("roster does not include us")
+	}
+	if welcome {
+		myKey := c.keyGrp.Encode(c.kp.Public)
+		admitted := false
+		for _, am := range u.Admit {
+			admitted = admitted || bytes.Equal(am.PubKey, myKey)
+		}
+		if !admitted {
+			return fail("anchoring update does not admit us")
+		}
 	}
 	slot := -1
 	myPseu := c.keyGrp.Encode(c.pseudonym.Public)
-	for i, sk := range w.SlotKeys {
+	for i, sk := range cp.SlotKeys {
 		if bytes.Equal(sk, myPseu) {
 			slot = i
 			break
 		}
 	}
 	if slot < 0 {
-		return c.violation(errors.New("snapshot sync slot keys do not carry our pseudonym key")), nil
+		return fail("slot keys do not carry our pseudonym key")
 	}
-	cfg := dcnet.Config{
-		NumSlots:        len(w.Lens),
-		DefaultOpenLen:  c.def.Policy.DefaultOpenLen,
-		MaxSlotLen:      c.def.Policy.MaxSlotLen,
-		IdleCloseRounds: c.def.Policy.IdleCloseRounds,
+	if c.beaconChain != nil && len(cp.BeaconHead) != len(beacon.Value{}) {
+		return fail("beacon head malformed")
 	}
-	if w.SchedRound > w.Round {
-		return c.violation(errors.New("snapshot sync schedule round ahead of engine round")), nil
-	}
-	sched, err := dcnet.RestoreSchedule(cfg, w.SchedRound, toInt(w.Lens), toInt(w.Idle), toInt(w.Perm))
+	sched, err := c.restoreSchedule(&cp.Checkpoint)
 	if err != nil {
-		return c.violation(err), nil
+		return nil, 0, 0, nil, err
 	}
-	if w.DrainRound > w.Round {
-		return c.violation(errors.New("snapshot sync drain round ahead of engine round")), nil
-	}
-
-	// Recover queued payload bytes from in-flight (and parked) rounds
-	// before dropping them: their vectors were composed under the
-	// replaced layout and can never match a certified output now.
-	reclaim := func(cr *clientRound) {
-		if cr.sentSlot != nil {
-			if pl, idle, err := dcnet.DecodeSlot(cr.sentSlot); err == nil && !idle && len(pl.Data) > 0 {
-				c.outbox = append([][]byte{append([]byte(nil), pl.Data...)}, c.outbox...)
-			}
-		}
-		c.retireRound(cr)
-	}
-	for i := len(c.inflight) - 1; i >= 0; i-- { // newest first, so reclaimed bytes land oldest-first
-		reclaim(c.inflight[i])
-	}
-	c.inflight = c.inflight[:0]
-	if c.parked != nil {
-		reclaim(c.parked)
-		c.parked = nil
-	}
-	c.resubmitPending = false
-	c.reqPending = false
-
-	c.def = newDef
-	c.idx = idx
-	c.upstream = newDef.Servers[newDef.UpstreamServer(idx)].ID
-	c.serverSeeds = make([][]byte, len(newDef.Servers))
-	for j, srv := range newDef.Servers {
-		if c.pairSeedFn != nil {
-			c.serverSeeds[j] = c.pairSeedFn(idx, j)
-		} else {
-			seed, err := c.pairSeed(srv.PubKey)
-			if err != nil {
-				return nil, fmt.Errorf("core: server %d seed: %w", j, err)
-			}
-			c.serverSeeds[j] = seed
-		}
-	}
-	if c.beaconChain != nil {
-		if len(w.BeaconHead) != len(beacon.Value{}) {
-			return c.violation(errors.New("snapshot sync beacon head malformed")), nil
-		}
-		var head beacon.Value
-		copy(head[:], w.BeaconHead)
-		// Our chain replica may have diverged with the schedule: discard
-		// it and resume from the snapshot's head, trusted like the rest
-		// of the server-signed snapshot (the certified update anchors the
-		// roster; round outputs re-verify every appended entry).
-		if err := c.beaconChain.ResetTrusted(head); err != nil {
-			return nil, err
-		}
-	}
-	c.installRotation(sched)
-	sched.SetLag(c.depth - 1)
-	if err := sched.RestorePending(toInt(w.PendingOps), toInt(w.PendingNs)); err != nil {
-		return c.violation(err), nil
-	}
-	c.sched = sched
-	c.mySlot = slot
-	c.round = w.Round
-	c.nextOut = w.Round
-	c.rosterDone = w.Round
-	c.drain = w.DrainRound
-	c.awaitingRoster = false
-	c.applyDigest = nil // mid-stream snapshot: no apply-point digest until the next boundary
-	c.expelled = expelled[idx]
-	c.nextStreams = nil
-
-	out := &Output{Events: []Event{{Kind: EventReplicaResynced, Round: w.Round,
-		Detail: fmt.Sprintf("version %d, slot %d of %d", w.Version, slot, len(w.Lens))}}}
-	if c.awaitingBlame || c.expelled {
-		return out, nil
-	}
-	sub, err := c.submitRound(now)
-	if err != nil {
-		return nil, err
-	}
-	out.merge(sub)
-	return out, nil
+	return def, u.Version, slot, sched, nil
 }
 
 // NewJoinerClient builds a client engine for a prospective member whose
 // key is not (yet) in the group definition. Start sends a JoinRequest
 // instead of a pseudonym submission; once a certified roster update
-// admits the key, the upstream server's JoinWelcome bootstraps the
+// admits the key, the upstream server's welcome bootstraps the
 // engine mid-session and it begins submitting like any client.
 // advertiseAddr is the dialable address servers should attach for this
 // node (empty on address-less fabrics like SimNet).
@@ -1760,7 +1481,7 @@ func NewJoinerClient(def *group.Definition, kp *crypto.KeyPair, advertiseAddr st
 	if def.Policy.BeaconEpochRounds == 0 {
 		return nil, errors.New("core: joining requires a group with membership churn (BeaconEpochRounds > 0)")
 	}
-	c := &Client{node: newNode(def, kp, opts)}
+	c := newClient(def, kp, opts)
 	if def.ClientIndex(c.id) >= 0 || def.ServerIndex(c.id) >= 0 {
 		return nil, errors.New("core: key already belongs to this group (use NewClient)")
 	}
@@ -1768,18 +1489,6 @@ func NewJoinerClient(def *group.Definition, kp *crypto.KeyPair, advertiseAddr st
 	c.joining = true
 	c.joinAddr = advertiseAddr
 	c.upstream = def.Servers[0].ID // contact point until admission assigns one
-	c.pad = dcnet.NewPad(c.prng)
-	c.mySlot = -1
-	c.pairSeedFn = opts.PairSeed
-	c.depth = opts.PipelineDepth
-	if c.depth < 1 {
-		c.depth = 1
-	}
-	var retry RetryPolicy
-	if opts.Retry != nil {
-		retry = *opts.Retry
-	}
-	c.retry = retry.withDefaults(submitResendInterval)
 	return c, nil
 }
 

@@ -273,15 +273,14 @@ type Server struct {
 	// number; the keys are always the contiguous range
 	// [roundNum, nextOpen). roundNum is the head — the oldest in-flight
 	// round, the only one allowed past inventory collection — and
-	// nextOpen is the next window to open. depth caps len(rounds):
-	// depth 1 is the serial engine, depth 2 overlaps round r+1's
-	// submission window with round r's combine/certify. blameDue defers
-	// a requested accusation shuffle until the pipeline drains.
+	// nextOpen is the next window to open. The node's depth caps
+	// len(rounds): depth 1 is the serial engine, depth 2 overlaps round
+	// r+1's submission window with round r's combine/certify. blameDue
+	// defers a requested accusation shuffle until the pipeline drains.
 	sched     *dcnet.Schedule
 	pad       *dcnet.Pad
 	roundNum  uint64
 	nextOpen  uint64
-	depth     int
 	blameDue  bool
 	prevCount int
 	// drainRound is the first round after the latest pipeline drain
@@ -332,7 +331,6 @@ type Server struct {
 	rosterDigests    map[uint64][32]byte            // version → post-apply schedule digest
 	joinedAt         map[group.NodeID]uint64        // new members → admitting version (welcome re-send)
 	welcomeSent      map[group.NodeID]time.Time     // re-welcome rate limiting
-	pairSeedFn       func(clientIdx, serverIdx int) []byte
 
 	// stash buffers messages that arrived ahead of our local phase
 	// (e.g. a peer's inventory for round r+1 while we still certify r);
@@ -371,25 +369,17 @@ func NewServer(def *group.Definition, kp, msgKP *crypto.KeyPair, opts Options) (
 	}
 	s.clientSeeds = make([][]byte, len(def.Clients))
 	for i, c := range def.Clients {
-		if opts.PairSeed != nil {
-			s.clientSeeds[i] = opts.PairSeed(i, s.idx)
-		} else {
-			seed, err := s.pairSeed(c.PubKey)
-			if err != nil {
-				return nil, fmt.Errorf("core: client %d seed: %w", i, err)
-			}
-			s.clientSeeds[i] = seed
+		seed, err := s.pairSeed(i, s.idx, c.PubKey)
+		if err != nil {
+			return nil, fmt.Errorf("core: client %d seed: %w", i, err)
 		}
+		s.clientSeeds[i] = seed
 		if def.UpstreamServer(i) == s.idx {
 			s.myClients = append(s.myClients, i)
 		}
 	}
 	s.pad = dcnet.NewPad(s.prng)
 	s.ppad = dcnet.NewParallelPad(s.prng, opts.PadWorkers)
-	s.depth = opts.PipelineDepth
-	if s.depth < 1 {
-		s.depth = 1
-	}
 	s.prefetchPads = make([]*dcnet.ParallelPad, s.depth)
 	for i := range s.prefetchPads {
 		s.prefetchPads[i] = dcnet.NewParallelPad(s.prng, opts.PadWorkers)
@@ -410,7 +400,6 @@ func NewServer(def *group.Definition, kp, msgKP *crypto.KeyPair, opts Options) (
 	s.rosterDigests = make(map[uint64][32]byte)
 	s.joinedAt = make(map[group.NodeID]uint64)
 	s.welcomeSent = make(map[group.NodeID]time.Time)
-	s.pairSeedFn = opts.PairSeed
 	s.misbehavior = make(map[group.NodeID]*peerRecord)
 	var retry RetryPolicy
 	if opts.Retry != nil {
@@ -881,18 +870,10 @@ func (s *Server) maybeFinishSetup(now time.Time) (*Output, error) {
 	if err := s.bindBeaconSession(scheduleCertDigest(s.grpID, certKeys, sigs)); err != nil {
 		return nil, err
 	}
-	cfg := dcnet.Config{
-		NumSlots:        len(s.slotKeys),
-		DefaultOpenLen:  s.def.Policy.DefaultOpenLen,
-		MaxSlotLen:      s.def.Policy.MaxSlotLen,
-		IdleCloseRounds: s.def.Policy.IdleCloseRounds,
-	}
-	sched, err := dcnet.NewSchedule(cfg)
+	sched, err := s.newSchedule(len(s.slotKeys))
 	if err != nil {
 		return nil, err
 	}
-	s.installRotation(sched)
-	sched.SetLag(s.depth - 1)
 	s.sched = sched
 	s.prevCount = len(s.slotKeys)
 	s.phase = phaseRunning

@@ -649,11 +649,14 @@ func RestoreSchedule(cfg Config, round uint64, lens, idle, perm []int) (*Schedul
 			len(lens), len(idle), len(perm))
 	}
 	seen := make([]bool, len(perm))
-	for _, v := range perm {
+	for i, v := range perm {
 		if v < 0 || v >= len(perm) || seen[v] {
 			return nil, errors.New("dcnet: snapshot permutation invalid")
 		}
 		seen[v] = true
+		if lens[i] < 0 || lens[i] > cfg.MaxSlotLen || idle[i] < 0 {
+			return nil, fmt.Errorf("dcnet: snapshot slot %d length %d or idle count %d invalid", i, lens[i], idle[i])
+		}
 	}
 	s := &Schedule{
 		cfg:   cfg,

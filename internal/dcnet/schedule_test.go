@@ -545,4 +545,11 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if _, err := RestoreSchedule(s.Config(), round, lens, idle, badPerm); err == nil {
 		t.Fatal("invalid permutation accepted")
 	}
+	for _, bad := range []int{-1, s.Config().MaxSlotLen + 1} {
+		badLens := append([]int(nil), lens...)
+		badLens[2] = bad
+		if _, err := RestoreSchedule(s.Config(), round, badLens, idle, perm); err == nil {
+			t.Fatalf("slot length %d accepted", bad)
+		}
+	}
 }
