@@ -96,11 +96,7 @@ func runPerf(quick bool, jsonOut, compare string, threshold float64, note string
 	fmt.Printf("go %s %s/%s GOMAXPROCS=%d\n", rep.GoVersion, rep.GOOS, rep.GOARCH, rep.GOMAXPROCS)
 	fmt.Printf("%-44s %-14s %-12s %-10s %s\n", "benchmark", "ns/op", "MB/s", "allocs/op", "B/op")
 	for _, r := range rep.Results {
-		mbs := "-"
-		if r.MBPerSec > 0 {
-			mbs = fmt.Sprintf("%.1f", r.MBPerSec)
-		}
-		fmt.Printf("%-44s %-14.0f %-12s %-10d %d\n", r.Name, r.NsPerOp, mbs, r.AllocsPerOp, r.BytesPerOp)
+		fmt.Println(perfRow(r))
 	}
 	if jsonOut != "" {
 		b, err := rep.WriteJSON()
@@ -130,6 +126,21 @@ func runPerf(quick bool, jsonOut, compare string, threshold float64, note string
 		}
 		fmt.Printf("# gate: ok vs %s (threshold %.1fx)\n", compare, threshold)
 	}
+}
+
+// perfRow renders one perf result as a table line. A row carrying a
+// Unit is a scenario measurement (rounds/s, byte totals), not a per-op
+// timing: it prints "value unit" in the ns/op column and dashes in the
+// per-op columns it has no figures for.
+func perfRow(r bench.PerfResult) string {
+	if r.Unit != "" {
+		return fmt.Sprintf("%-44s %-14s %-12s %-10s %s", r.Name, fmt.Sprintf("%.4g %s", r.Value, r.Unit), "-", "-", "-")
+	}
+	mbs := "-"
+	if r.MBPerSec > 0 {
+		mbs = fmt.Sprintf("%.1f", r.MBPerSec)
+	}
+	return fmt.Sprintf("%-44s %-14.0f %-12s %-10d %d", r.Name, r.NsPerOp, mbs, r.AllocsPerOp, r.BytesPerOp)
 }
 
 func fig6Config(quick bool) bench.Fig6Config {

@@ -672,26 +672,20 @@ func (c *Client) consumeOutput(now time.Time, m *Message) (*Output, error) {
 	if err != nil {
 		return c.violation(err), nil
 	}
-	if len(p.Sigs) != len(c.def.Servers) {
-		return c.violation(errors.New("round output lacks a signature per server")), nil
-	}
 	// Reconstruct the round's beacon entry from the carried shares: its
-	// chained value is covered by the certification signatures, so a
-	// bogus share set fails the certificate check below before it can
-	// touch our chain replica.
+	// chained value is covered by the certificate, so a bogus share set
+	// fails the check below before it can touch our chain replica.
 	var bEntry *beacon.Entry
 	if !p.Failed && c.beaconChain != nil {
 		bEntry = beacon.NewEntry(m.Round, c.beaconChain.Head(), p.Beacon)
 	}
-	signed := cleartextSignedBytes(c.grpID, m.Round, int(p.Count), p.Cleartext, beaconValueBytes(bEntry))
-	for j, srv := range c.def.Servers {
-		sig, err := crypto.DecodeSignature(c.keyGrp, p.Sigs[j])
-		if err != nil {
-			return c.violation(err), nil
-		}
-		if err := crypto.Verify(c.keyGrp, srv.PubKey, "dissent/cleartext", signed, sig); err != nil {
-			return c.violation(fmt.Errorf("round %d cert %d: %w", m.Round, j, err)), nil
-		}
+	sig, err := crypto.DecodeSignature(c.keyGrp, p.Sig)
+	if err != nil {
+		return c.violation(fmt.Errorf("round %d cert: %w", m.Round, err)), nil
+	}
+	digest := cleartextDigest(c.grpID, m.Round, int(p.Count), p.Cleartext, beaconValueBytes(bEntry))
+	if err := crypto.Verify(c.keyGrp, c.certKey.Key, "dissent/cleartext", digest, sig); err != nil {
+		return c.violation(fmt.Errorf("round %d cert: %w", m.Round, err)), nil
 	}
 	// The oldest in-flight record is this round's, unless we were not
 	// submitting (expelled, or following outputs after a join).
@@ -806,8 +800,8 @@ func (c *Client) consumeOutput(now time.Time, m *Message) (*Output, error) {
 
 	// Extend the beacon chain before advancing the schedule, so an
 	// epoch boundary rotates from this round's certified output on
-	// client and server replicas alike. All m certification signatures
-	// verified above cover the entry's chained value, so the per-share
+	// client and server replicas alike. The collective certificate
+	// verified above covers the entry's chained value, so the per-share
 	// signatures need no re-verification here.
 	if bEntry != nil {
 		if err := c.beaconChain.AppendTrusted(bEntry); err != nil {

@@ -224,6 +224,12 @@ type node struct {
 	prng    crypto.PRNGMaker
 	signing bool
 
+	// certKey aggregates the servers' identity keys (in definition
+	// order) into the key every round's collective certificate verifies
+	// under. Roster updates change only clients, so it is fixed for the
+	// session.
+	certKey *crypto.AggKey
+
 	// beaconChain is this node's replica of the anytrust randomness
 	// beacon (nil when Policy.BeaconEpochRounds is 0). Servers extend
 	// it through the round protocol's commit–reveal; clients extend it
@@ -273,6 +279,7 @@ func newNode(def *group.Definition, kp *crypto.KeyPair, opts Options) node {
 		msgGrp:  msgGrp,
 		kp:      kp,
 		id:      group.IDFromKey(def.Group(), kp.Public),
+		certKey: crypto.NewAggKey(def.Group(), def.ServerPubKeys()),
 		rand:    opts.Rand,
 		prng:    prng,
 		signing: def.Policy.SignMessages,
@@ -437,7 +444,7 @@ type Options struct {
 func (n *node) sign(t MsgType, round uint64, body []byte) (*Message, error) {
 	m := &Message{From: n.id, Type: t, Round: round, Body: body}
 	if n.signing {
-		sig, err := n.kp.Sign("dissent/msg", signedBytes(n.grpID, m), n.rand)
+		sig, err := n.kp.SignConcat("dissent/msg", n.rand, signedHeader(n.grpID, m), m.Body)
 		if err != nil {
 			return nil, err
 		}
@@ -470,7 +477,7 @@ func (n *node) verify(m *Message, wantServer bool) error {
 	if err != nil {
 		return fmt.Errorf("core: %s from %s: %w", m.Type, m.From, err)
 	}
-	if err := crypto.Verify(n.keyGrp, pub, "dissent/msg", signedBytes(n.grpID, m), sig); err != nil {
+	if err := crypto.VerifyConcat(n.keyGrp, pub, "dissent/msg", sig, signedHeader(n.grpID, m), m.Body); err != nil {
 		return fmt.Errorf("core: %s from %s: %w", m.Type, m.From, err)
 	}
 	return nil

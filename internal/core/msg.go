@@ -26,15 +26,18 @@ const (
 	MsgSchedule
 	// MsgClientSubmit: client → upstream server; round ciphertext.
 	MsgClientSubmit
-	// MsgInventory: server → all servers; clients heard this round.
+	// MsgInventory: server → all servers; clients heard this round,
+	// plus the server's collective-signing nonce for the attempt.
 	MsgInventory
 	// MsgCommit: server → all servers; hash commit of its ciphertext.
 	MsgCommit
 	// MsgShare: server → all servers; its ciphertext.
 	MsgShare
-	// MsgCertify: server → all servers; signature over the cleartext.
+	// MsgCertify: server → all servers; its partial signature over the
+	// cleartext, to be summed into the collective certificate.
 	MsgCertify
-	// MsgOutput: server → its clients; signed round output.
+	// MsgOutput: server → its clients; round output with its collective
+	// certificate.
 	MsgOutput
 	// MsgBlameStart: server → its clients; an accusation shuffle opens.
 	MsgBlameStart
@@ -120,7 +123,8 @@ func (t MsgType) String() string {
 }
 
 // Message is one signed protocol message. Body is the canonical
-// payload encoding; Sig covers (GroupID, Type, Round, From, Body).
+// payload encoding; Sig covers (GroupID, Type, Round, From, Body) as
+// laid out by signedHeader followed by the body.
 type Message struct {
 	From  group.NodeID
 	Type  MsgType
@@ -129,14 +133,18 @@ type Message struct {
 	Sig   []byte
 }
 
-// signedBytes is the byte string a message signature covers.
-func signedBytes(groupID [32]byte, m *Message) []byte {
-	var e encBuf
+// signedHeader is the fixed-size head of the byte string a message
+// signature covers: group ID, type, round, sender and the body's
+// length prefix. The body follows it; signers and verifiers stream the
+// two pieces into the hash (crypto.SignConcat) instead of copying the
+// body behind the header.
+func signedHeader(groupID [32]byte, m *Message) []byte {
+	e := encBuf{B: make([]byte, 0, 32+1+8+8+4)}
 	e.B = append(e.B, groupID[:]...)
 	e.U8(byte(m.Type))
 	e.U64(m.Round)
 	e.B = append(e.B, m.From[:]...)
-	e.Bytes(m.Body)
+	e.U32(uint32(len(m.Body)))
 	return e.B
 }
 
@@ -410,8 +418,16 @@ func DecodeClientSubmit(b []byte) (*ClientSubmit, error) {
 
 // Inventory is a server's list of client indices heard this round, per
 // α-threshold attempt (§3.7: servers may re-open the window and retry).
+// Nonce is the server's public MuSig2 nonce pair (R1, R2) for this
+// (round, attempt), drawn fresh at every window close: inventory is the
+// one exchange every attempt runs before certify, failed rounds
+// included, so the nonces are fixed before any server knows the
+// cleartext it will sign. An inventory with no nonce is the request a
+// restarted server sends for the outputs of rounds it retired before
+// the crash (RestoreFromStore).
 type Inventory struct {
 	Attempt int32
+	Nonce   []byte
 	Clients []int32
 }
 
@@ -419,6 +435,7 @@ type Inventory struct {
 func (p *Inventory) Encode() []byte {
 	var e encBuf
 	e.U32(uint32(p.Attempt))
+	e.Bytes(p.Nonce)
 	e.Int32s(p.Clients)
 	return e.B
 }
@@ -430,6 +447,10 @@ func DecodeInventory(b []byte) (*Inventory, error) {
 	if err != nil {
 		return nil, err
 	}
+	nonce, err := d.Bytes()
+	if err != nil {
+		return nil, err
+	}
 	cs, err := d.Int32s()
 	if err != nil {
 		return nil, err
@@ -437,7 +458,7 @@ func DecodeInventory(b []byte) (*Inventory, error) {
 	if err := d.Done(); err != nil {
 		return nil, err
 	}
-	return &Inventory{Attempt: int32(at), Clients: cs}, nil
+	return &Inventory{Attempt: int32(at), Nonce: nonce, Clients: cs}, nil
 }
 
 // Commit is a server's hash commitment to its ciphertext (Algorithm 2
@@ -521,7 +542,13 @@ func DecodeShare(b []byte) (*Share, error) {
 	return &Share{Attempt: int32(at), CT: ct, BeaconShare: bs}, nil
 }
 
-// Certify is a server's signature over the assembled cleartext.
+// Certify carries a server's signature. In MsgCertify, Sig is the
+// server's MuSig2 partial signature (one scalar) over the round's
+// cleartext digest, made with the nonce from its inventory for the same
+// attempt; every server sums the M partials into the round's collective
+// certificate. Retransmissions resend the stored partial unchanged: a
+// nonce signs once. In MsgScheduleCert, Sig is a plain Schnorr
+// signature over the scheduling shuffle's key list.
 type Certify struct {
 	Attempt int32
 	Sig     []byte
@@ -552,30 +579,38 @@ func DecodeCertify(b []byte) (*Certify, error) {
 	return &Certify{Attempt: int32(at), Sig: sig}, nil
 }
 
-// cleartextSignedBytes is the byte string certifying signatures cover.
-// beaconValue is the round's chained beacon output (nil for failed
-// rounds or when the beacon is off), so certification also pins the
-// beacon chain: a server cannot certify the round yet equivocate about
-// its randomness.
-func cleartextSignedBytes(groupID [32]byte, round uint64, count int, cleartext, beaconValue []byte) []byte {
-	var e encBuf
-	e.B = append(e.B, groupID[:]...)
-	e.U64(round)
-	e.U32(uint32(count))
-	e.Bytes(cleartext)
-	e.Bytes(beaconValue)
-	return crypto.Hash("dissent/cleartext-cert", e.B)
+// cleartextDigest is the digest a round's collective certificate
+// signs. beaconValue is the round's chained beacon output (nil for
+// failed rounds or when the beacon is off), so certification also pins
+// the beacon chain: a server cannot certify the round yet equivocate
+// about its randomness. The cleartext is streamed into the hash between
+// its framing, never copied.
+func cleartextDigest(groupID [32]byte, round uint64, count int, cleartext, beaconValue []byte) []byte {
+	head := encBuf{B: make([]byte, 0, 32+8+4+4)}
+	head.B = append(head.B, groupID[:]...)
+	head.U64(round)
+	head.U32(uint32(count))
+	head.U32(uint32(len(cleartext)))
+	var tail encBuf
+	tail.Bytes(beaconValue)
+	h := crypto.NewHasher("dissent/cleartext-cert")
+	h.Concat(head.B, cleartext, tail.B)
+	return h.Sum()
 }
 
-// RoundOutput carries the certified round result to clients. Failed
-// indicates a hard-timeout round whose ciphertexts were discarded; its
-// Count resets the participation baseline (§3.7). Beacon holds every
-// server's beacon share for this round (in server-index order) so
-// clients extend and verify their beacon chain replica; it is empty
-// for failed rounds and when the beacon is off.
+// RoundOutput carries the certified round result to clients. Sig is the
+// round's collective certificate: one Schnorr signature over
+// cleartextDigest under the servers' aggregate key (node.certKey),
+// which exists only if every server signed, so a client checks all M
+// servers' agreement with a single verification. Failed indicates a
+// hard-timeout round whose ciphertexts were discarded; its Count resets
+// the participation baseline (§3.7). Beacon holds every server's beacon
+// share for this round (in server-index order) so clients extend and
+// verify their beacon chain replica; it is empty for failed rounds and
+// when the beacon is off.
 type RoundOutput struct {
 	Cleartext []byte
-	Sigs      [][]byte // per server index
+	Sig       []byte
 	Count     int32
 	Failed    bool
 	Beacon    [][]byte // per server index
@@ -585,7 +620,7 @@ type RoundOutput struct {
 func (p *RoundOutput) Encode() []byte {
 	var e encBuf
 	e.Bytes(p.Cleartext)
-	e.ByteSlices(p.Sigs)
+	e.Bytes(p.Sig)
 	e.U32(uint32(p.Count))
 	if p.Failed {
 		e.U8(1)
@@ -603,7 +638,7 @@ func DecodeRoundOutput(b []byte) (*RoundOutput, error) {
 	if err != nil {
 		return nil, err
 	}
-	sigs, err := d.ByteSlices()
+	sig, err := d.Bytes()
 	if err != nil {
 		return nil, err
 	}
@@ -622,7 +657,7 @@ func DecodeRoundOutput(b []byte) (*RoundOutput, error) {
 	if err := d.Done(); err != nil {
 		return nil, err
 	}
-	return &RoundOutput{Cleartext: ct, Sigs: sigs, Count: int32(count), Failed: failed != 0, Beacon: bc}, nil
+	return &RoundOutput{Cleartext: ct, Sig: sig, Count: int32(count), Failed: failed != 0, Beacon: bc}, nil
 }
 
 // BlameStart announces an accusation shuffle session to clients.

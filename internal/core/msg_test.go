@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"dissent/internal/crypto"
 	"dissent/internal/group"
 )
 
@@ -147,14 +148,15 @@ func TestPayloadCodecsRoundTrip(t *testing.T) {
 		}},
 		{"ClientSubmit", func() []byte { return (&ClientSubmit{CT: []byte("ciphertext")}).Encode() },
 			func(b []byte) error { _, err := DecodeClientSubmit(b); return err }},
-		{"Inventory", func() []byte { return (&Inventory{Attempt: 3, Clients: []int32{0, 2}}).Encode() },
-			func(b []byte) error {
-				p, err := DecodeInventory(b)
-				if err == nil && p.Attempt != 3 {
-					t.Error("attempt mismatch")
-				}
-				return err
-			}},
+		{"Inventory", func() []byte {
+			return (&Inventory{Attempt: 3, Nonce: []byte("nonce"), Clients: []int32{0, 2}}).Encode()
+		}, func(b []byte) error {
+			p, err := DecodeInventory(b)
+			if err == nil && (p.Attempt != 3 || string(p.Nonce) != "nonce" || len(p.Clients) != 2) {
+				t.Error("fields mismatch")
+			}
+			return err
+		}},
 		{"Commit", func() []byte {
 			return (&Commit{Attempt: 1, Hash: []byte("h"), BeaconCommit: []byte("bc")}).Encode()
 		}, func(b []byte) error {
@@ -176,11 +178,11 @@ func TestPayloadCodecsRoundTrip(t *testing.T) {
 		{"Certify", func() []byte { return (&Certify{Attempt: 0, Sig: []byte("sig")}).Encode() },
 			func(b []byte) error { _, err := DecodeCertify(b); return err }},
 		{"RoundOutput", func() []byte {
-			return (&RoundOutput{Cleartext: []byte("clear"), Sigs: [][]byte{[]byte("s")}, Count: 9, Failed: true,
+			return (&RoundOutput{Cleartext: []byte("clear"), Sig: []byte("s"), Count: 9, Failed: true,
 				Beacon: [][]byte{[]byte("b0"), []byte("b1")}}).Encode()
 		}, func(b []byte) error {
 			p, err := DecodeRoundOutput(b)
-			if err == nil && (!p.Failed || p.Count != 9 || len(p.Beacon) != 2 || string(p.Beacon[1]) != "b1") {
+			if err == nil && (!p.Failed || p.Count != 9 || string(p.Sig) != "s" || len(p.Beacon) != 2 || string(p.Beacon[1]) != "b1") {
 				t.Error("fields mismatch")
 			}
 			return err
@@ -243,13 +245,13 @@ func TestPayloadCodecsRoundTrip(t *testing.T) {
 }
 
 func TestInventoryCodecProperty(t *testing.T) {
-	f := func(attempt int32, clients []int32) bool {
-		p := &Inventory{Attempt: attempt, Clients: clients}
+	f := func(attempt int32, nonce []byte, clients []int32) bool {
+		p := &Inventory{Attempt: attempt, Nonce: nonce, Clients: clients}
 		got, err := DecodeInventory(p.Encode())
 		if err != nil {
 			return false
 		}
-		if got.Attempt != attempt || len(got.Clients) != len(clients) {
+		if got.Attempt != attempt || !bytes.Equal(got.Nonce, nonce) || len(got.Clients) != len(clients) {
 			return false
 		}
 		for i := range clients {
@@ -285,5 +287,60 @@ func TestMsgTypeStrings(t *testing.T) {
 	}
 	if MsgType(200).String() != "msgtype(200)" {
 		t.Error("unknown type formatting")
+	}
+}
+
+// TestSignedBytesStreamMatchesConcatenation: message signatures and the
+// round certificate digest stream their pieces into the hash, and must
+// equal signing and hashing the concatenated byte strings.
+func TestSignedBytesStreamMatchesConcatenation(t *testing.T) {
+	var grpID [32]byte
+	copy(grpID[:], "group-id-for-the-stream-test....")
+	body := bytes.Repeat([]byte{0xa5}, 4000)
+	m := &Message{From: group.NodeID{1, 2, 3, 4, 5, 6, 7, 8}, Type: MsgShare, Round: 1<<40 + 3, Body: body}
+
+	// The message signature's byte string, built whole.
+	var ref encBuf
+	ref.B = append(ref.B, grpID[:]...)
+	ref.U8(byte(m.Type))
+	ref.U64(m.Round)
+	ref.B = append(ref.B, m.From[:]...)
+	ref.Bytes(m.Body)
+	kp, err := crypto.GenerateKeyPair(crypto.P256(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := node{grpID: grpID, keyGrp: kp.Group, kp: kp, id: m.From, signing: true}
+	signed, err := n.sign(m.Type, m.Round, m.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sig, err := crypto.DecodeSignature(kp.Group, signed.Sig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := crypto.Verify(kp.Group, kp.Public, "dissent/msg", ref.B, sig); err != nil {
+		t.Fatalf("streamed message signature rejected over the concatenated bytes: %v", err)
+	}
+	whole, err := kp.Sign("dissent/msg", ref.B, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := crypto.VerifyConcat(kp.Group, kp.Public, "dissent/msg", whole, signedHeader(grpID, m), m.Body); err != nil {
+		t.Fatalf("concatenated-bytes signature rejected over the streamed pieces: %v", err)
+	}
+
+	// The round certificate digest, built whole.
+	for _, beaconValue := range [][]byte{nil, bytes.Repeat([]byte{9}, 32)} {
+		var c encBuf
+		c.B = append(c.B, grpID[:]...)
+		c.U64(77)
+		c.U32(uint32(12))
+		c.Bytes(body)
+		c.Bytes(beaconValue)
+		want := crypto.Hash("dissent/cleartext-cert", c.B)
+		if got := cleartextDigest(grpID, 77, 12, body, beaconValue); !bytes.Equal(got, want) {
+			t.Fatalf("cleartext digest (beacon %d B) differs from hashing the concatenation", len(beaconValue))
+		}
 	}
 }

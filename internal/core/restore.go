@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math/big"
 	"time"
 
 	"dissent/internal/beacon"
@@ -247,7 +248,11 @@ func (s *Server) resetRoundAttempt(rs *roundState, attempt int32) {
 	rs.invs = make(map[int]*Inventory)
 	rs.commits = make(map[int][]byte)
 	rs.shares = make(map[int][]byte)
-	rs.certs = make(map[int][]byte)
+	rs.certs = make(map[int]*big.Int)
+	rs.nonces = make(map[int]crypto.PublicNonce)
+	rs.nonce = nil
+	rs.session = nil
+	rs.digest = nil
 	rs.beaconCommits = make(map[int][]byte)
 	rs.beaconShares = make(map[int][]byte)
 	rs.myBeaconShare = nil
@@ -265,7 +270,7 @@ func (s *Server) resetRoundAttempt(rs *roundState, attempt int32) {
 // Our window closes immediately — the clients we carry already submitted
 // pre-crash, and the restarted peer's own window bounds how long its
 // direct clients had to reach it.
-func (s *Server) escalateAttempt(now time.Time, rs *roundState, p *Inventory, si int) (*Output, error) {
+func (s *Server) escalateAttempt(now time.Time, rs *roundState, p *Inventory, pn crypto.PublicNonce, si int) (*Output, error) {
 	s.log.Info("round attempt escalated for peer recovery", "round", rs.r,
 		"from", rs.attempt, "to", p.Attempt)
 	s.resetRoundAttempt(rs, p.Attempt)
@@ -276,6 +281,7 @@ func (s *Server) escalateAttempt(now time.Time, rs *roundState, p *Inventory, si
 	if si >= 0 {
 		if _, dup := rs.invs[si]; !dup {
 			rs.invs[si] = p
+			rs.nonces[si] = pn
 			more, err := s.maybeCommit(now, rs)
 			if err != nil {
 				return nil, err
@@ -317,32 +323,29 @@ func (s *Server) retainPeerOutput(m *Message) (*Output, error) {
 	return out, nil
 }
 
-// verifyOutputCerts checks that a round output carries every server's
-// certification signature over its cleartext and beacon value.
+// verifyOutputCerts checks a round output's collective certificate:
+// every server's signature over its cleartext and beacon value, in one
+// verification under the aggregate server key.
 func (s *Server) verifyOutputCerts(round uint64, ro *RoundOutput, beaconValue []byte) error {
-	if len(ro.Sigs) != len(s.def.Servers) {
-		return fmt.Errorf("round %d output carries %d certs", round, len(ro.Sigs))
+	sig, err := crypto.DecodeSignature(s.keyGrp, ro.Sig)
+	if err != nil {
+		return fmt.Errorf("round %d cert: %w", round, err)
 	}
-	signed := cleartextSignedBytes(s.grpID, round, int(ro.Count), ro.Cleartext, beaconValue)
-	for j, srv := range s.def.Servers {
-		sig, err := crypto.DecodeSignature(s.keyGrp, ro.Sigs[j])
-		if err != nil {
-			return err
-		}
-		if err := crypto.Verify(s.keyGrp, srv.PubKey, "dissent/cleartext", signed, sig); err != nil {
-			return fmt.Errorf("round %d cert %d: %w", round, j, err)
-		}
+	digest := cleartextDigest(s.grpID, round, int(ro.Count), ro.Cleartext, beaconValue)
+	if err := crypto.Verify(s.keyGrp, s.certKey.Key, "dissent/cleartext", digest, sig); err != nil {
+		return fmt.Errorf("round %d cert: %w", round, err)
 	}
 	return nil
 }
 
 // onPeerOutput adopts a certified round output forwarded by a peer
 // (onInventory's retired-round reply): the peers certified this round
-// while we were down — our own pre-crash certify signature completed it
-// — so our reopened copy can never certify again. All m certification
-// signatures make the output self-authenticating; adopting it replays
-// exactly the retirement the crash interrupted, minus blame history
-// (adopted rounds cannot be traced — see the file comment).
+// while we were down — our own pre-crash partial signature completed it
+// — so our reopened copy can never certify again. The collective
+// certificate, which only all m servers together can produce, makes the
+// output self-authenticating; adopting it replays exactly the
+// retirement the crash interrupted, minus blame history (adopted rounds
+// cannot be traced — see the file comment).
 func (s *Server) onPeerOutput(now time.Time, m *Message) (*Output, error) {
 	if s.def.ServerIndex(m.From) < 0 {
 		return s.violation(m.Round, fmt.Errorf("MsgOutput from non-server %s", m.From)), nil

@@ -501,7 +501,7 @@ func (s *Server) onJoinRequest(now time.Time, m *Message) (*Output, error) {
 		if err != nil {
 			return s.violation(m.Round, err), nil
 		}
-		if err := crypto.Verify(s.keyGrp, pub, "dissent/msg", signedBytes(s.grpID, m), sig); err != nil {
+		if err := crypto.VerifyConcat(s.keyGrp, pub, "dissent/msg", sig, signedHeader(s.grpID, m), m.Body); err != nil {
 			return s.violation(m.Round, fmt.Errorf("join request signature: %w", err)), nil
 		}
 	}

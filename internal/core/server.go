@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/big"
 	"sort"
 	"time"
 
@@ -169,7 +170,17 @@ type roundState struct {
 	invs    map[int]*Inventory // server index -> inventory (current attempt)
 	commits map[int][]byte
 	shares  map[int][]byte
-	certs   map[int][]byte
+
+	// Collective certification (crypto/musig.go) for the current
+	// attempt: nonces holds every server's public nonce from its
+	// inventory; nonce is our secret one, nil once it has signed;
+	// session is the signing session over digest, the round's cleartext
+	// digest; certs holds the partial signatures in hand, ours included.
+	nonces  map[int]crypto.PublicNonce
+	nonce   *crypto.SecretNonce
+	session *crypto.SignSession
+	digest  []byte
+	certs   map[int]*big.Int
 
 	included   []int   // union l, sorted
 	directSets [][]int // l'_j per server after dedup
@@ -1006,7 +1017,8 @@ func (s *Server) openRound(now time.Time, out *Output) {
 		invs:    make(map[int]*Inventory),
 		commits: make(map[int][]byte),
 		shares:  make(map[int][]byte),
-		certs:   make(map[int][]byte),
+		nonces:  make(map[int]crypto.PublicNonce),
+		certs:   make(map[int]*big.Int),
 
 		beaconCommits: make(map[int][]byte),
 		beaconShares:  make(map[int][]byte),
@@ -1322,9 +1334,14 @@ func (s *Server) closeWindow(now time.Time, rs *roundState) (*Output, error) {
 	if rs.phase != rpCollect {
 		return &Output{}, nil
 	}
+	sn, pn, err := crypto.NewNonce(s.keyGrp, s.rand)
+	if err != nil {
+		return nil, err
+	}
 	rs.phase = rpInventory
 	rs.windowClosed = now
-	inv := &Inventory{Attempt: rs.attempt}
+	rs.nonce = sn
+	inv := &Inventory{Attempt: rs.attempt, Nonce: crypto.EncodeNonce(s.keyGrp, pn)}
 	for _, ci := range sortedKeys(rs.subs) {
 		inv.Clients = append(inv.Clients, int32(ci))
 	}
@@ -1336,6 +1353,7 @@ func (s *Server) closeWindow(now time.Time, rs *roundState) (*Output, error) {
 		return nil, err
 	}
 	rs.invs[s.idx] = inv
+	rs.nonces[s.idx] = pn
 	more, err := s.maybeCommit(now, rs)
 	if err != nil {
 		return nil, err
@@ -1373,23 +1391,34 @@ func (s *Server) onInventory(now time.Time, m *Message) (*Output, error) {
 	if err != nil {
 		return s.misbehave(rs.r, m.From, "malformed", err), nil
 	}
+	if len(p.Nonce) == 0 {
+		// A restarted peer's request for retired rounds' outputs
+		// (RestoreFromStore) reaching a round we still run: it holds
+		// no inventory of the peer's.
+		return &Output{}, nil
+	}
+	pn, err := crypto.DecodeNonce(s.keyGrp, p.Nonce)
+	if err != nil {
+		return s.misbehave(rs.r, m.From, "malformed", fmt.Errorf("inventory nonce: %w", err)), nil
+	}
+	si := s.def.ServerIndex(m.From)
 	if p.Attempt != rs.attempt {
 		if p.Attempt > maxAttempts && p.Attempt > rs.attempt {
 			// A restarted peer reopened this round at a recovery attempt
 			// (openRound); abandon the attempt we were wedged on and
 			// rejoin. Kept submissions ride the new attempt through our
 			// fresh inventory.
-			return s.escalateAttempt(now, rs, p, s.def.ServerIndex(m.From))
+			return s.escalateAttempt(now, rs, p, pn, si)
 		}
 		// Inventories from a newer α-reopen attempt can arrive while we
 		// are still collecting for it; only same-attempt ones are used.
 		return &Output{}, nil
 	}
-	si := s.def.ServerIndex(m.From)
 	if _, dup := rs.invs[si]; dup {
 		return &Output{}, nil
 	}
 	rs.invs[si] = p
+	rs.nonces[si] = pn
 	return s.maybeCommit(now, rs)
 }
 
@@ -1437,6 +1466,7 @@ func (s *Server) maybeCommit(now time.Time, rs *roundState) (*Output, error) {
 			rs.closeAt = rs.hardAt
 		}
 		rs.invs = make(map[int]*Inventory)
+		rs.nonces = make(map[int]crypto.PublicNonce)
 		// The recorded casts are now a stale attempt; peers would drop
 		// them on the attempt check anyway.
 		rs.casts = nil
@@ -1655,21 +1685,33 @@ func (s *Server) maybeCombine(now time.Time, rs *roundState) (*Output, error) {
 	return s.sendCertify(now, rs)
 }
 
+// sendCertify fixes the round's cleartext digest, opens the collective
+// signing session over it with every server's inventory nonce, and
+// broadcasts our partial signature. The secret nonce signs exactly
+// once; retransmissions resend the recorded partial.
 func (s *Server) sendCertify(now time.Time, rs *roundState) (*Output, error) {
 	rs.phase = rpCertify
 	rs.certifySent = now
-	sig, err := s.kp.Sign("dissent/cleartext",
-		cleartextSignedBytes(s.grpID, rs.r, len(rs.included), rs.cleartext, beaconValueBytes(rs.beaconEntry)), s.rand)
+	rs.digest = cleartextDigest(s.grpID, rs.r, len(rs.included), rs.cleartext, beaconValueBytes(rs.beaconEntry))
+	nonces := make([]crypto.PublicNonce, len(s.def.Servers))
+	for si := range nonces {
+		nonces[si] = rs.nonces[si]
+	}
+	session, err := s.certKey.Session("dissent/cleartext", rs.digest, nonces)
 	if err != nil {
 		return nil, err
 	}
-	sigBytes := crypto.EncodeSignature(s.keyGrp, sig)
+	z, err := session.PartialSign(s.idx, s.kp, rs.nonce)
+	if err != nil {
+		return nil, fmt.Errorf("core: round %d certify: %w", rs.r, err)
+	}
+	rs.session, rs.nonce = session, nil
 	out := &Output{}
-	body := (&Certify{Attempt: rs.attempt, Sig: sigBytes}).Encode()
+	body := (&Certify{Attempt: rs.attempt, Sig: crypto.EncodePartial(s.keyGrp, z)}).Encode()
 	if err := s.castServers(now, rs, MsgCertify, body, out); err != nil {
 		return nil, err
 	}
-	rs.certs[s.idx] = sigBytes
+	rs.certs[s.idx] = z
 	more, err := s.maybeOutput(now, rs)
 	if err != nil {
 		return nil, err
@@ -1696,27 +1738,56 @@ func (s *Server) onCertify(now time.Time, m *Message) (*Output, error) {
 	if rs.phase < rpCertify {
 		// A peer can certify before our own combine completes (its
 		// copy of a slow share may arrive before ours under link
-		// serialization); verify once we have the cleartext.
+		// serialization); take its partial once our session is open.
 		return s.stashMsg(m), nil
 	}
 	if p.Attempt != rs.attempt {
 		return &Output{}, nil
 	}
 	si := s.def.ServerIndex(m.From)
-	sig, err := crypto.DecodeSignature(s.keyGrp, p.Sig)
+	z, err := crypto.DecodePartial(s.keyGrp, p.Sig)
 	if err != nil {
-		return s.misbehave(rs.r, m.From, "bad-certificate", err), nil
-	}
-	if err := crypto.Verify(s.keyGrp, s.def.Servers[si].PubKey, "dissent/cleartext",
-		cleartextSignedBytes(s.grpID, rs.r, len(rs.included), rs.cleartext, beaconValueBytes(rs.beaconEntry)), sig); err != nil {
-		return s.misbehave(rs.r, m.From, "bad-certificate",
-			fmt.Errorf("server %d certify: %w", si, err)), nil
+		return s.misbehave(rs.r, m.From, "bad-certificate", fmt.Errorf("server %d certify: %w", si, err)), nil
 	}
 	if _, dup := rs.certs[si]; dup {
 		return &Output{}, nil
 	}
-	rs.certs[si] = p.Sig
+	rs.certs[si] = z
 	return s.maybeOutput(now, rs)
+}
+
+// checkCertificate sums the round's partial signatures into the
+// collective certificate and verifies it once under the aggregate key.
+// Only when it fails are the partials checked one by one: each invalid
+// one is charged "bad-certificate" to its signer and dropped, and the
+// round waits for a valid one.
+func (s *Server) checkCertificate(rs *roundState) (crypto.Signature, *Output, bool) {
+	partials := make([]*big.Int, len(s.def.Servers))
+	for si := range partials {
+		partials[si] = rs.certs[si]
+	}
+	sig, err := rs.session.Aggregate(partials)
+	if err == nil {
+		err = crypto.Verify(s.keyGrp, s.certKey.Key, "dissent/cleartext", rs.digest, sig)
+	}
+	if err == nil {
+		return sig, nil, true
+	}
+	out := &Output{}
+	for si, z := range partials {
+		if si == s.idx {
+			continue
+		}
+		if perr := rs.session.VerifyPartial(si, z); perr != nil {
+			delete(rs.certs, si)
+			out.merge(s.misbehave(rs.r, s.def.Servers[si].ID, "bad-certificate",
+				fmt.Errorf("server %d certify: %w", si, perr)))
+		}
+	}
+	if len(out.Events) == 0 {
+		out = s.violation(rs.r, fmt.Errorf("round %d certificate: %w", rs.r, err))
+	}
+	return crypto.Signature{}, out, false
 }
 
 // maybeOutput completes the round: distribute the certified output,
@@ -1727,15 +1798,15 @@ func (s *Server) maybeOutput(now time.Time, rs *roundState) (*Output, error) {
 	if rs.phase != rpCertify || len(rs.certs) < len(s.def.Servers) {
 		return &Output{}, nil
 	}
+	sig, bad, ok := s.checkCertificate(rs)
+	if !ok {
+		return bad, nil
+	}
 	rs.phase = rpDone
 	out := &Output{}
-	sigs := make([][]byte, len(s.def.Servers))
-	for i := range sigs {
-		sigs[i] = rs.certs[i]
-	}
 	ro := &RoundOutput{
 		Cleartext: rs.cleartext,
-		Sigs:      sigs,
+		Sig:       crypto.EncodeSignature(s.keyGrp, sig),
 		Count:     int32(len(rs.included)),
 		Failed:    rs.failed,
 	}
@@ -1805,7 +1876,7 @@ func (s *Server) maybeOutput(now time.Time, rs *roundState) (*Output, error) {
 		directSets: rs.directSets,
 		cleartext:  rs.cleartext,
 		subs:       rs.subs,
-		slotOff:    make([]int, s.sched.NumSlots()),
+		slotOff:    s.sched.SlotOffsets(nil),
 		slotLen:    make([]int, s.sched.NumSlots()),
 	}
 	hist.shares = make([][]byte, len(s.def.Servers))
@@ -1817,8 +1888,8 @@ func (s *Server) maybeOutput(now time.Time, rs *roundState) (*Output, error) {
 	// them for RetainRounds rounds). Peer shares alias message bodies.
 	hist.ownShare = rs.myShare
 	hist.ownCleartext = rs.cleartext
-	for i := 0; i < s.sched.NumSlots(); i++ {
-		hist.slotOff[i], hist.slotLen[i] = s.sched.SlotRange(i)
+	for i := range hist.slotLen {
+		hist.slotLen[i] = s.sched.SlotLen(i)
 	}
 	s.history[rs.r] = hist
 	// Evict everything older than the retention window — but never

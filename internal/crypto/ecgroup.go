@@ -103,6 +103,29 @@ func (g *ECGroup) BaseMult(k *big.Int) Element {
 	return &ecPoint{x: x, y: y}
 }
 
+// combinedMult returns s1·G + s2·p. crypto/elliptic's P-256 offers the
+// fused form through an interface upgrade (crypto/ecdsa reaches it the
+// same way); it skips the affine conversions and on-curve checks that
+// separate BaseMult, ScalarMult and Add calls each pay.
+func (g *ECGroup) combinedMult(s1, s2 *big.Int, p Element) Element {
+	type combinedMulter interface {
+		CombinedMult(Px, Py *big.Int, s1, s2 []byte) (x, y *big.Int)
+	}
+	cm, ok := g.curve.(combinedMulter)
+	pp := p.(*ecPoint)
+	if !ok || pp.x == nil {
+		return g.Add(g.BaseMult(s1), g.ScalarMult(p, s2))
+	}
+	n := g.curve.Params().N
+	k1 := new(big.Int).Mod(s1, n)
+	k2 := new(big.Int).Mod(s2, n)
+	x, y := cm.CombinedMult(pp.x, pp.y, k1.Bytes(), k2.Bytes())
+	if x.Sign() == 0 && y.Sign() == 0 {
+		return &ecPoint{}
+	}
+	return &ecPoint{x: x, y: y}
+}
+
 // Equal implements Group.
 func (g *ECGroup) Equal(a, b Element) bool {
 	pa, pb := a.(*ecPoint), b.(*ecPoint)

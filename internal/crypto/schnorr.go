@@ -24,6 +24,12 @@ func scalarLen(g Group) int { return (g.Order().BitLen() + 7) / 8 }
 // Sign produces a Schnorr signature on msg with the keypair, bound to
 // domain for cross-protocol separation.
 func (kp *KeyPair) Sign(domain string, msg []byte, rand io.Reader) (Signature, error) {
+	return kp.SignConcat(domain, rand, msg)
+}
+
+// SignConcat signs the concatenation of pieces without building it:
+// the result is the signature Sign makes over the concatenated bytes.
+func (kp *KeyPair) SignConcat(domain string, rand io.Reader, pieces ...[]byte) (Signature, error) {
 	if kp.Private == nil {
 		return Signature{}, errors.New("crypto: signing requires a private key")
 	}
@@ -33,7 +39,7 @@ func (kp *KeyPair) Sign(domain string, msg []byte, rand io.Reader) (Signature, e
 		return Signature{}, err
 	}
 	r := g.BaseMult(k)
-	c := schnorrChallenge(g, domain, r, kp.Public, msg)
+	c := schnorrChallenge(g, domain, r, kp.Public, pieces...)
 	z := new(big.Int).Mul(c, kp.Private)
 	z.Add(z, k)
 	z.Mod(z, g.Order())
@@ -42,6 +48,12 @@ func (kp *KeyPair) Sign(domain string, msg []byte, rand io.Reader) (Signature, e
 
 // Verify checks a Schnorr signature on msg under public key pub.
 func Verify(g Group, pub Element, domain string, msg []byte, sig Signature) error {
+	return VerifyConcat(g, pub, domain, sig, msg)
+}
+
+// VerifyConcat is Verify over the concatenation of pieces, streamed
+// into the challenge hash without building it.
+func VerifyConcat(g Group, pub Element, domain string, sig Signature, pieces ...[]byte) error {
 	if sig.C == nil || sig.Z == nil {
 		return errors.New("crypto: incomplete signature")
 	}
@@ -49,18 +61,32 @@ func Verify(g Group, pub Element, domain string, msg []byte, sig Signature) erro
 	if sig.C.Sign() < 0 || sig.C.Cmp(q) >= 0 || sig.Z.Sign() < 0 || sig.Z.Cmp(q) >= 0 {
 		return errors.New("crypto: signature values out of range")
 	}
-	// r = zG - c*pub
-	r := g.Add(g.BaseMult(sig.Z), g.Neg(g.ScalarMult(pub, sig.C)))
-	c := schnorrChallenge(g, domain, r, pub, msg)
+	r := baseMultSub(g, sig.Z, sig.C, pub)
+	c := schnorrChallenge(g, domain, r, pub, pieces...)
 	if c.Cmp(sig.C) != 0 {
 		return errors.New("crypto: signature verification failed")
 	}
 	return nil
 }
 
-func schnorrChallenge(g Group, domain string, r, pub Element, msg []byte) *big.Int {
-	return HashToScalar(g, "dissent/schnorr",
-		[]byte(domain), g.Encode(r), g.Encode(pub), msg)
+// baseMultSub returns z·G − c·p: one fused multiplication on curves
+// that offer it (ECGroup), BaseMult, ScalarMult, Neg and Add otherwise.
+func baseMultSub(g Group, z, c *big.Int, p Element) Element {
+	if ec, ok := g.(*ECGroup); ok {
+		return ec.combinedMult(z, new(big.Int).Sub(ec.curve.Params().N, c), p)
+	}
+	return g.Add(g.BaseMult(z), g.Neg(g.ScalarMult(p, c)))
+}
+
+// schnorrChallenge hashes the commitment, the key and the message —
+// given as pieces of one concatenated part — into the challenge.
+func schnorrChallenge(g Group, domain string, r, pub Element, msg ...[]byte) *big.Int {
+	h := NewHasher("dissent/schnorr")
+	h.Part([]byte(domain))
+	h.Part(g.Encode(r))
+	h.Part(g.Encode(pub))
+	h.Concat(msg...)
+	return seedToScalar(g, h.Sum())
 }
 
 // EncodeSignature serializes sig as two fixed-width scalars.

@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"dissent/internal/crypto"
 )
@@ -263,6 +264,19 @@ func (s *Schedule) SlotRange(i int) (off, n int) {
 	return off, s.lens[i]
 }
 
+// SlotOffsets returns every slot's SlotRange offset, indexed by slot,
+// from one pass over the layout (SlotRange walks the permutation prefix
+// on each call). dst is reused when it has room.
+func (s *Schedule) SlotOffsets(dst []int) []int {
+	dst = slices.Grow(dst[:0], s.cfg.NumSlots)[:s.cfg.NumSlots]
+	off := s.reqBytes()
+	for _, slot := range s.perm {
+		dst[slot] = off
+		off += s.lens[slot]
+	}
+	return dst
+}
+
 // SetReqBit sets slot i's request bit in a cleartext-sized message
 // vector (XOR semantics: writing 1 toggles the channel bit).
 func (s *Schedule) SetReqBit(buf []byte, slot int, v bool) {
@@ -311,8 +325,9 @@ func (s *Schedule) Advance(cleartext []byte) (*RoundResult, error) {
 	}
 	res := &RoundResult{Payloads: make([]*SlotPayload, s.cfg.NumSlots)}
 	delta := make([]slotDelta, s.cfg.NumSlots)
+	offs := s.SlotOffsets(nil)
 	for i := 0; i < s.cfg.NumSlots; i++ {
-		off, n := s.SlotRange(i)
+		off, n := offs[i], s.lens[i]
 		if n == 0 {
 			// Closed slot: a set request bit opens it next round.
 			if s.ReqBit(cleartext, i) {

@@ -1,6 +1,7 @@
 package dcnet
 
 import (
+	mrand "math/rand/v2"
 	"testing"
 )
 
@@ -550,6 +551,38 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		badLens[2] = bad
 		if _, err := RestoreSchedule(s.Config(), round, badLens, idle, perm); err == nil {
 			t.Fatalf("slot length %d accepted", bad)
+		}
+	}
+}
+
+// TestSlotOffsetsMatchSlotRange: the one-pass offsets equal SlotRange's
+// per-slot prefix walk on random layouts (random permutation, a mix of
+// closed and open slots of random lengths).
+func TestSlotOffsetsMatchSlotRange(t *testing.T) {
+	rng := mrand.New(mrand.NewPCG(7, 11))
+	var offs []int
+	for trial := 0; trial < 50; trial++ {
+		n := 1 + rng.IntN(300)
+		cfg := DefaultConfig(n)
+		lens := make([]int, n)
+		for i := range lens {
+			if rng.IntN(3) > 0 {
+				lens[i] = MinSlotLen + rng.IntN(cfg.MaxSlotLen-MinSlotLen)
+			}
+		}
+		perm := rng.Perm(n)
+		s, err := RestoreSchedule(cfg, uint64(trial), lens, make([]int, n), perm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		offs = s.SlotOffsets(offs)
+		if len(offs) != n {
+			t.Fatalf("trial %d: %d offsets for %d slots", trial, len(offs), n)
+		}
+		for i := 0; i < n; i++ {
+			if off, _ := s.SlotRange(i); offs[i] != off {
+				t.Fatalf("trial %d slot %d: offset %d, SlotRange says %d", trial, i, offs[i], off)
+			}
 		}
 	}
 }
